@@ -4,7 +4,6 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use snet_analysis::Workload;
-use snet_core::batch::evaluate_batch;
 use snet_core::ir::Executor;
 use snet_core::trace::ComparisonTrace;
 use snet_sorters::{bitonic_circuit, odd_even_mergesort};
@@ -43,7 +42,7 @@ fn bench_batch(c: &mut Criterion) {
         let inputs = w.permutations(n, 256);
         g.throughput(Throughput::Elements(256));
         g.bench_with_input(BenchmarkId::new("odd_even", n), &n, |b, _| {
-            b.iter(|| evaluate_batch(&net, &inputs));
+            b.iter(|| Executor::compile(&net).evaluate_batch(&inputs));
         });
     }
     g.finish();

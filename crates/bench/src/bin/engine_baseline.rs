@@ -16,35 +16,14 @@
 //! Usage: `cargo run --release -p snet-bench --bin engine_baseline
 //! [-- --reps R -o results/engine_baseline.json]`
 
+use serde::Serialize;
 use serde_json::Value;
 use snet_core::ir::{check_zero_one_sharded, Executor};
 use snet_core::network::ComparatorNetwork;
 use snet_core::sortcheck::check_zero_one_exhaustive;
+use snet_obs::json::obj;
 use snet_sorters::{bitonic_shuffle, brick_wall};
 use std::time::Instant;
-
-fn vu(v: u64) -> Value {
-    Value::Number(serde_json::Number::U(v))
-}
-
-fn vf(v: f64) -> Value {
-    Value::Number(serde_json::Number::F(v))
-}
-
-fn vs(v: &str) -> Value {
-    Value::String(v.to_string())
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// The run manifest (commit, toolchain, parallelism, …) as a JSON value,
-/// embedded into the results document for provenance.
-fn manifest_value(tool: &str) -> Value {
-    let json = snet_obs::RunManifest::capture(tool).to_json();
-    serde_json::from_str(&json).expect("manifest JSON parses")
-}
 
 fn median_ms(reps: usize, mut f: impl FnMut()) -> f64 {
     let mut samples: Vec<f64> = (0..reps.max(1))
@@ -72,17 +51,17 @@ fn check_scenarios(name: &str, net: &ComparatorNetwork, reps: usize) -> Value {
         });
         eprintln!("  sharded t={threads}: {ms:.2} ms ({:.1}x vs seed)", seed_ms / ms);
         rows.push(obj(vec![
-            ("threads", vu(threads as u64)),
-            ("millis", vf(ms)),
-            ("speedup_vs_seed", vf(seed_ms / ms)),
+            ("threads", threads.serialize()),
+            ("millis", ms.serialize()),
+            ("speedup_vs_seed", (seed_ms / ms).serialize()),
         ]));
     }
     obj(vec![
-        ("network", vs(name)),
-        ("wires", vu(n as u64)),
-        ("comparators", vu(net.size() as u64)),
-        ("inputs", vu(1u64 << n)),
-        ("seed_scalar_millis", vf(seed_ms)),
+        ("network", name.serialize()),
+        ("wires", n.serialize()),
+        ("comparators", net.size().serialize()),
+        ("inputs", (1u64 << n).serialize()),
+        ("seed_scalar_millis", seed_ms.serialize()),
         ("sharded", Value::Array(rows)),
     ])
 }
@@ -108,11 +87,11 @@ fn scalar_scenario(reps: usize) -> Value {
         interp_ms / compiled_ms
     );
     obj(vec![
-        ("network", vs("bitonic_shuffle")),
-        ("wires", vu(n as u64)),
-        ("interpreter_millis", vf(interp_ms)),
-        ("compiled_millis", vf(compiled_ms)),
-        ("speedup", vf(interp_ms / compiled_ms)),
+        ("network", "bitonic_shuffle".serialize()),
+        ("wires", n.serialize()),
+        ("interpreter_millis", interp_ms.serialize()),
+        ("compiled_millis", compiled_ms.serialize()),
+        ("speedup", (interp_ms / compiled_ms).serialize()),
     ])
 }
 
@@ -140,19 +119,19 @@ fn main() {
     }
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
     let doc = obj(vec![
-        ("schema", vs("snet-engine-baseline/2")),
-        ("schema_version", vu(2)),
-        ("manifest", manifest_value("engine_baseline")),
-        ("units", vs("milliseconds, median")),
+        ("schema", "snet-engine-baseline/2".serialize()),
+        ("schema_version", 2u64.serialize()),
+        ("manifest", snet_obs::RunManifest::capture("engine_baseline").serialize()),
+        ("units", "milliseconds, median".serialize()),
         (
             "hardware",
             obj(vec![
-                ("logical_cores", vu(cores as u64)),
-                ("os", vs(std::env::consts::OS)),
-                ("arch", vs(std::env::consts::ARCH)),
+                ("logical_cores", cores.serialize()),
+                ("os", std::env::consts::OS.serialize()),
+                ("arch", std::env::consts::ARCH.serialize()),
             ]),
         ),
-        ("reps", vu(reps as u64)),
+        ("reps", reps.serialize()),
         ("scalar_single_eval", scalar_scenario(reps.max(5) * 40)),
         (
             "exhaustive_01",

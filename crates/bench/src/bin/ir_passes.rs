@@ -13,31 +13,14 @@
 //! Usage: `cargo run --release -p snet-bench --bin ir_passes
 //! [-- -o results/ir_passes.json]`
 
+use serde::Serialize;
 use serde_json::Value;
 use snet_core::ir::{PassManager, Program};
 use snet_core::network::ComparatorNetwork;
+use snet_obs::json::obj;
 use snet_sorters::{
     bitonic_shuffle, brick_wall, odd_even_mergesort, periodic_balanced, pratt_network,
 };
-
-fn vu(v: u64) -> Value {
-    Value::Number(serde_json::Number::U(v))
-}
-
-fn vs(v: &str) -> Value {
-    Value::String(v.to_string())
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// The run manifest (commit, toolchain, parallelism, …) as a JSON value,
-/// embedded into the results document for provenance.
-fn manifest_value(tool: &str) -> Value {
-    let json = snet_obs::RunManifest::capture(tool).to_json();
-    serde_json::from_str(&json).expect("manifest JSON parses")
-}
 
 fn zoo() -> Vec<(String, ComparatorNetwork)> {
     let mut out = Vec::new();
@@ -59,15 +42,15 @@ fn network_entry(name: &str, net: &ComparatorNetwork) -> Value {
         .iter()
         .map(|r| {
             obj(vec![
-                ("pass", vs(r.name)),
-                ("ops_before", vu(r.ops_before as u64)),
-                ("ops_after", vu(r.ops_after as u64)),
-                ("size_before", vu(r.size_before as u64)),
-                ("size_after", vu(r.size_after as u64)),
-                ("depth_before", vu(r.depth_before as u64)),
-                ("depth_after", vu(r.depth_after as u64)),
-                ("ops_eliminated", vu(r.ops_eliminated() as u64)),
-                ("nanos", vu(r.nanos as u64)),
+                ("pass", r.name.serialize()),
+                ("ops_before", r.ops_before.serialize()),
+                ("ops_after", r.ops_after.serialize()),
+                ("size_before", r.size_before.serialize()),
+                ("size_after", r.size_after.serialize()),
+                ("depth_before", r.depth_before.serialize()),
+                ("depth_after", r.depth_after.serialize()),
+                ("ops_eliminated", r.ops_eliminated().serialize()),
+                ("nanos", (r.nanos as u64).serialize()),
             ])
         })
         .collect();
@@ -80,14 +63,14 @@ fn network_entry(name: &str, net: &ComparatorNetwork) -> Value {
         prog.depth()
     );
     obj(vec![
-        ("network", vs(name)),
-        ("wires", vu(net.wires() as u64)),
-        ("source_levels", vu(net.depth() as u64)),
-        ("source_comparators", vu(net.size() as u64)),
-        ("raw_ops", vu(raw_ops)),
-        ("final_ops", vu(prog.op_count() as u64)),
-        ("final_size", vu(prog.size() as u64)),
-        ("final_depth", vu(prog.depth() as u64)),
+        ("network", name.serialize()),
+        ("wires", net.wires().serialize()),
+        ("source_levels", net.depth().serialize()),
+        ("source_comparators", net.size().serialize()),
+        ("raw_ops", raw_ops.serialize()),
+        ("final_ops", prog.op_count().serialize()),
+        ("final_size", prog.size().serialize()),
+        ("final_depth", prog.depth().serialize()),
         ("passes", Value::Array(passes)),
     ])
 }
@@ -111,12 +94,12 @@ fn main() {
     }
     let entries: Vec<Value> = zoo().iter().map(|(name, net)| network_entry(name, net)).collect();
     let doc = obj(vec![
-        ("schema", vs("snet-ir-passes/2")),
-        ("schema_version", vu(2)),
-        ("manifest", manifest_value("ir_passes")),
+        ("schema", "snet-ir-passes/2".serialize()),
+        ("schema_version", 2u64.serialize()),
+        ("manifest", snet_obs::RunManifest::capture("ir_passes").serialize()),
         (
             "pipeline",
-            vs("absorb-routes, normalize-cmprev, strip-pass-swap, redundant-elim, relayer"),
+            "absorb-routes, normalize-cmprev, strip-pass-swap, redundant-elim, relayer".serialize(),
         ),
         ("networks", Value::Array(entries)),
     ]);

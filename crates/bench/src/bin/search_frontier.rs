@@ -21,53 +21,8 @@
 //! runs, so CI can diff a flight-on baseline against a flight-off one
 //! and gate the recorder's overhead.
 
-use serde_json::Value;
 use snet_obs::Baseline;
-use snet_search::{search, SearchConfig, SearchMode, SearchOutcome, SearchStats};
-
-fn vu(v: u64) -> Value {
-    Value::Number(serde_json::Number::U(v))
-}
-
-fn vs(v: &str) -> Value {
-    Value::String(v.to_string())
-}
-
-fn vb(v: bool) -> Value {
-    Value::Bool(v)
-}
-
-fn vf(v: f64) -> Value {
-    Value::Number(serde_json::Number::F(v))
-}
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-/// The run manifest (commit, toolchain, parallelism, …) as a JSON value,
-/// embedded into the results document for provenance.
-fn manifest_value(tool: &str) -> Value {
-    let json = snet_obs::RunManifest::capture(tool).to_json();
-    serde_json::from_str(&json).expect("manifest JSON parses")
-}
-
-fn stats_value(s: &SearchStats) -> Value {
-    obj(vec![
-        ("nodes", vu(s.nodes)),
-        ("tt_hits", vu(s.tt_hits)),
-        ("tt_misses", vu(s.tt_misses)),
-        ("tt_stores", vu(s.tt_stores)),
-        ("tt_evicts", vu(s.tt_evicts)),
-        ("oracle_cuts", vu(s.oracle_cuts)),
-        ("subsumed", vu(s.subsumed)),
-        ("noop_skips", vu(s.noop_skips)),
-        ("witness_skips", vu(s.witness_skips)),
-        ("tasks_run", vu(s.tasks_run)),
-        ("tasks_aborted", vu(s.tasks_aborted)),
-        ("steals", vu(s.steals)),
-    ])
-}
+use snet_search::{search, Frontier, SearchConfig, SearchMode, SearchOutcome};
 
 /// The stable per-scenario label, also the baseline file stem.
 fn scenario_label(n: usize, mode: SearchMode) -> String {
@@ -96,52 +51,16 @@ fn write_baseline(outcome: &SearchOutcome, dir: &str) {
     eprintln!("baseline written to {}", path.display());
 }
 
-fn run_entry(outcome: &SearchOutcome) -> Value {
-    let rounds: Vec<Value> = outcome
-        .rounds
-        .iter()
-        .map(|r| {
-            obj(vec![
-                ("budget", vu(r.budget as u64)),
-                ("sat", vb(r.sat)),
-                ("tasks", vu(r.tasks as u64)),
-                ("elapsed_ms", vu(r.elapsed_ms)),
-                ("stats", stats_value(&r.stats)),
-            ])
-        })
-        .collect();
-    let elapsed_ms: u64 = outcome.rounds.iter().map(|r| r.elapsed_ms).sum();
-    let probes = outcome.totals.tt_hits + outcome.totals.tt_misses;
-    let states_per_sec = if elapsed_ms == 0 {
-        // Sub-millisecond run: round timing cannot resolve a rate.
-        Value::Null
-    } else {
-        vf(outcome.totals.nodes as f64 * 1000.0 / elapsed_ms as f64)
-    };
-    let tt_hit_rate =
-        if probes == 0 { Value::Null } else { vf(outcome.totals.tt_hits as f64 / probes as f64) };
+fn report(outcome: &SearchOutcome) {
     eprintln!(
         "[{} n={}] optimal depth {:?}, {} nodes in {} ms, tt hit rate {:.3}",
         outcome.mode.name(),
         outcome.n,
         outcome.optimal_depth,
         outcome.totals.nodes,
-        elapsed_ms,
-        if probes == 0 { 0.0 } else { outcome.totals.tt_hits as f64 / probes as f64 },
+        outcome.rounds.iter().map(|r| r.elapsed_ms).sum::<u64>(),
+        outcome.totals.tt_hit_rate(),
     );
-    obj(vec![
-        ("n", vu(outcome.n as u64)),
-        ("mode", vs(outcome.mode.name())),
-        ("floor", vu(outcome.floor as u64)),
-        ("max_depth", vu(outcome.max_depth as u64)),
-        ("optimal_depth", outcome.optimal_depth.map(|d| vu(d as u64)).unwrap_or(Value::Null)),
-        ("verified", outcome.verified().map(vb).unwrap_or(Value::Null)),
-        ("elapsed_ms", vu(elapsed_ms)),
-        ("states_per_sec", states_per_sec),
-        ("tt_hit_rate", tt_hit_rate),
-        ("rounds", Value::Array(rounds)),
-        ("totals", stats_value(&outcome.totals)),
-    ])
 }
 
 fn main() {
@@ -198,7 +117,7 @@ fn main() {
         }
     }
 
-    let runs: Vec<Value> = scenarios
+    let runs: Vec<SearchOutcome> = scenarios
         .iter()
         .map(|&(n, mode)| {
             let mut cfg = SearchConfig::new(n, mode);
@@ -207,16 +126,13 @@ fn main() {
             }
             let outcome = search(&cfg);
             write_baseline(&outcome, &baseline_dir);
-            run_entry(&outcome)
+            report(&outcome);
+            outcome
         })
         .collect();
 
-    let doc = obj(vec![
-        ("schema", vs("snet-search-frontier/2")),
-        ("schema_version", vu(2)),
-        ("manifest", manifest_value("search_frontier")),
-        ("runs", Value::Array(runs)),
-    ]);
+    let manifest = snet_obs::RunManifest::capture("search_frontier");
+    let doc = Frontier::Runs(&runs).to_value(&manifest);
     if let Some(dir) = std::path::Path::new(&out).parent() {
         let _ = std::fs::create_dir_all(dir);
     }

@@ -12,7 +12,7 @@
 
 use crate::common::{emit, ExpConfig};
 use snet_analysis::{fmt_f, sweep, Table, Workload};
-use snet_core::batch::count_sorted_parallel;
+use snet_core::ir::Executor;
 use snet_core::sortcheck::check_random_permutations;
 use snet_sorters::halver::{
     halver_sorter, halver_tree_parallel_depth, measure_epsilon, random_halver,
@@ -54,7 +54,7 @@ pub fn run(cfg: &ExpConfig) {
         let mut w = Workload::new(seed ^ ((hd as u64) << 8) ^ cleanup as u64);
         let net = halver_sorter(n, hd, cleanup, w.rng());
         let inputs = w.permutations(n, trials as usize);
-        let sorted = count_sorted_parallel(&net, &inputs, threads);
+        let sorted = Executor::compile(&net).count_sorted(&inputs, threads);
         // Worst case: still refutable by search?
         let worst = if check_random_permutations(&net, 30_000, w.rng()).is_sorting() {
             "none found"

@@ -216,8 +216,8 @@ fn print_usage() {
          \x20         and reprints a --metrics-out dump, --watch repaints every SECS\n\
          \x20         (with FILE: re-reads it each tick, tolerating torn mid-write lines)\n\
          \x20 serve   [--addr HOST:PORT] [--store DIR] [--conn-threads N] [--max-jobs N]\n\
-         \x20         [--search-threads N] [--check-threads N] [--access-log FILE.jsonl]\n\
-         \x20         [--slow-ms MS]\n\
+         \x20         [--search-threads N] [--check-threads N] [--max-body-bytes N]\n\
+         \x20         [--access-log FILE.jsonl] [--slow-ms MS]\n\
          \x20         run the snetd verification service (default 127.0.0.1:7421); identical\n\
          \x20         in-flight requests compile once, warm store hits replay byte-identical\n\
          \x20         verdicts, SIGTERM drains gracefully; exit code 11 if it cannot start;\n\
@@ -744,65 +744,11 @@ fn search_stats_table(outcome: &snet_search::SearchOutcome) -> String {
     out
 }
 
-/// Writes the `results/search_frontier.json` schema-v2 document: the run
-/// manifest plus per-budget frontier statistics. Unlike stdout, this
-/// includes the timing-dependent counters (nodes, table hits, aborts).
+/// Writes the single-run `snet-search-frontier/2` document
+/// ([`snet_search::Frontier::Run`]).
 fn write_frontier(outcome: &snet_search::SearchOutcome, path: &str) -> Result<(), String> {
-    use serde_json::Value;
-    fn vu(v: u64) -> Value {
-        Value::Number(serde_json::Number::U(v))
-    }
-    fn vb(v: bool) -> Value {
-        Value::Bool(v)
-    }
-    fn obj(fields: Vec<(&str, Value)>) -> Value {
-        Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-    }
-    fn stats_value(s: &snet_search::SearchStats) -> Value {
-        obj(vec![
-            ("nodes", vu(s.nodes)),
-            ("tt_hits", vu(s.tt_hits)),
-            ("tt_misses", vu(s.tt_misses)),
-            ("tt_stores", vu(s.tt_stores)),
-            ("tt_evicts", vu(s.tt_evicts)),
-            ("oracle_cuts", vu(s.oracle_cuts)),
-            ("subsumed", vu(s.subsumed)),
-            ("noop_skips", vu(s.noop_skips)),
-            ("witness_skips", vu(s.witness_skips)),
-            ("tasks_run", vu(s.tasks_run)),
-            ("tasks_aborted", vu(s.tasks_aborted)),
-            ("steals", vu(s.steals)),
-        ])
-    }
-    let manifest: Value =
-        serde_json::from_str(&snet_obs::RunManifest::capture("snetctl").to_json())
-            .map_err(|e| format!("manifest: {e}"))?;
-    let rounds: Vec<Value> = outcome
-        .rounds
-        .iter()
-        .map(|r| {
-            obj(vec![
-                ("budget", vu(r.budget as u64)),
-                ("sat", vb(r.sat)),
-                ("tasks", vu(r.tasks as u64)),
-                ("elapsed_ms", vu(r.elapsed_ms)),
-                ("stats", stats_value(&r.stats)),
-            ])
-        })
-        .collect();
-    let doc = obj(vec![
-        ("schema", Value::String("snet-search-frontier/2".into())),
-        ("schema_version", vu(2)),
-        ("manifest", manifest),
-        ("n", vu(outcome.n as u64)),
-        ("mode", Value::String(outcome.mode.name().into())),
-        ("floor", vu(outcome.floor as u64)),
-        ("max_depth", vu(outcome.max_depth as u64)),
-        ("optimal_depth", outcome.optimal_depth.map(|d| vu(d as u64)).unwrap_or(Value::Null)),
-        ("verified", outcome.verified().map(vb).unwrap_or(Value::Null)),
-        ("rounds", Value::Array(rounds)),
-        ("totals", stats_value(&outcome.totals)),
-    ]);
+    let manifest = snet_obs::RunManifest::capture("snetctl");
+    let doc = snet_search::Frontier::Run(outcome).to_value(&manifest);
     if let Some(dir) = std::path::Path::new(path).parent() {
         let _ = std::fs::create_dir_all(dir);
     }
@@ -1027,44 +973,18 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `serve [--addr HOST:PORT] [--store DIR] [--conn-threads N]
-/// [--max-jobs N] [--search-threads N] [--check-threads N]` — runs the
-/// snetd verification service in-process (the same engine as the
-/// standalone `snet-snetd` binary). `--store` (or `$SNET_STORE`) makes
-/// repeat queries warm store hits; SIGTERM/SIGINT drain gracefully:
-/// running jobs are cancelled, search TT spills land in the store, and
-/// buffered telemetry flushes. Exits 11 if the daemon cannot start.
+/// `serve FLAGS` — runs the snetd verification service in-process (the
+/// same engine and the same flag parser, [`snet_service::ServeConfig::from_args`],
+/// as the standalone `snet-snetd` binary). `--store` (or `$SNET_STORE`)
+/// makes repeat queries warm store hits; SIGTERM/SIGINT drain
+/// gracefully: running jobs are cancelled, search TT spills land in the
+/// store, and buffered telemetry flushes. Exits 11 on a bad flag or if
+/// the daemon cannot start.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let mut args = args.to_vec();
-    let mut cfg = snet_service::ServeConfig {
-        addr: "127.0.0.1:7421".into(),
-        ..snet_service::ServeConfig::default()
-    };
-    if let Some(addr) = take_flag_value(&mut args, "--addr")? {
-        cfg.addr = addr;
-    }
-    cfg.store = take_flag_value(&mut args, "--store")?
-        .or_else(|| std::env::var("SNET_STORE").ok().filter(|v| !v.is_empty()))
-        .map(std::path::PathBuf::from);
-    if let Some(v) = take_flag_value(&mut args, "--conn-threads")? {
-        cfg.conn_threads = parse(&v, "--conn-threads")?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--max-jobs")? {
-        cfg.max_jobs = parse(&v, "--max-jobs")?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--search-threads")? {
-        cfg.search_threads = parse(&v, "--search-threads")?;
-    }
-    if let Some(v) = take_flag_value(&mut args, "--check-threads")? {
-        cfg.check_threads = parse(&v, "--check-threads")?;
-    }
-    cfg.access_log = take_flag_value(&mut args, "--access-log")?.map(std::path::PathBuf::from);
-    if let Some(v) = take_flag_value(&mut args, "--slow-ms")? {
-        cfg.slow_ms = Some(parse(&v, "--slow-ms")?);
-    }
-    if let Some(extra) = args.first() {
-        return Err(format!("serve: unexpected argument '{extra}'"));
-    }
+    let cfg = snet_service::ServeConfig::from_args(args).unwrap_or_else(|e| {
+        eprintln!("snetctl: serve: {e}");
+        exit_flushed(exit::DAEMON_FAILED)
+    });
     snet_service::install_signal_handlers();
     if let Err(e) = snet_service::serve(cfg) {
         eprintln!("snetctl: serve: {e}");

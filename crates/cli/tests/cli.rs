@@ -573,13 +573,10 @@ fn report_chrome_exports_valid_trace_event_json() {
     // JSON parser accepts, not just our own reader.
     let json = std::fs::read_to_string(&c).unwrap();
     let doc: serde_json::Value = serde_json::from_str(&json).expect("chrome export parses");
-    fn field<'a>(v: &'a serde_json::Value, key: &str) -> Option<&'a serde_json::Value> {
-        v.get(key)
-    }
     fn fstr<'a>(v: &'a serde_json::Value, key: &str) -> &'a str {
-        field(v, key).and_then(|f| f.as_str()).unwrap_or("")
+        v.get(key).and_then(|f| f.as_str()).unwrap_or("")
     }
-    let events = field(&doc, "traceEvents").and_then(|v| v.as_array()).expect("traceEvents array");
+    let events = doc.get("traceEvents").and_then(|v| v.as_array()).expect("traceEvents array");
     assert!(!events.is_empty());
 
     // Duration events for the search spans, with microsecond timestamps.
@@ -590,8 +587,8 @@ fn report_chrome_exports_valid_trace_event_json() {
     );
     assert!(complete.iter().any(|e| fstr(e, "name") == "search.worker"));
     for e in &complete {
-        assert!(field(e, "ts").and_then(|v| v.as_f64()).is_some(), "ts missing");
-        assert!(field(e, "dur").and_then(|v| v.as_f64()).is_some(), "dur missing");
+        assert!(e.get("ts").and_then(|v| v.as_f64()).is_some(), "ts missing");
+        assert!(e.get("dur").and_then(|v| v.as_f64()).is_some(), "dur missing");
     }
     // Counter tracks for the node/prune counters.
     assert!(
@@ -600,7 +597,7 @@ fn report_chrome_exports_valid_trace_event_json() {
     );
     // Metadata names the process and gives every worker its own lane.
     let meta_name = |e: &serde_json::Value| {
-        field(e, "args").map(|a| fstr(a, "name").to_string()).unwrap_or_default()
+        e.get("args").map(|a| fstr(a, "name").to_string()).unwrap_or_default()
     };
     let thread_names: Vec<String> = events
         .iter()
@@ -863,4 +860,131 @@ fn flight_recorder_leaves_no_files_on_clean_exit() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let leftovers: Vec<_> = std::fs::read_dir(&dir).unwrap().filter_map(|e| e.ok()).collect();
     assert!(leftovers.is_empty(), "clean runs must not write flight dumps: {leftovers:?}");
+}
+
+/// Sends one raw HTTP/1.1 request and returns the status code.
+fn http_status(addr: &str, method: &str, path: &str, body: &[u8]) -> u16 {
+    use std::io::{Read, Write};
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    s.set_read_timeout(Some(std::time::Duration::from_secs(10))).unwrap();
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nhost: x\r\nconnection: close\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    s.write_all(head.as_bytes()).unwrap();
+    let _ = s.write_all(body);
+    let mut reply = [0u8; 12];
+    s.read_exact(&mut reply).unwrap();
+    String::from_utf8_lossy(&reply[9..]).parse().unwrap()
+}
+
+fn wait_for(what: &str, mut ready: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !ready() {
+        assert!(std::time::Instant::now() < deadline, "timed out waiting for {what}");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+}
+
+/// A spawned daemon, killed when the test is done with it (or panics).
+struct Daemon(std::process::Child);
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+/// `snetctl serve` and `snet-snetd` parse the daemon flags with one
+/// parser, so every row of one flag table gets the same answer from
+/// both: bad rows exit 11 without serving, good rows serve with the
+/// options applied.
+#[test]
+fn both_daemon_entry_points_share_one_flag_table() {
+    use std::io::{BufRead, BufReader};
+    use std::process::Stdio;
+    let snetd = std::path::Path::new(env!("CARGO_BIN_EXE_snetctl")).with_file_name("snet-snetd");
+    assert!(snetd.exists(), "{} is built with the workspace's binaries", snetd.display());
+    let rejected: &[&[&str]] = &[
+        &["--bogus"],
+        &["--addr"],
+        &["--max-body-bytes"],
+        &["--slow-ms", "soon"],
+        &["--conn-threads", "-1"],
+        &["--addr", "127.0.0.1:0", "stray"],
+    ];
+    let entry_points: [(&str, &[&str]); 2] =
+        [(env!("CARGO_BIN_EXE_snetctl"), &["serve"]), (snetd.to_str().unwrap(), &[])];
+    for (tag, (bin, prefix)) in entry_points.iter().enumerate() {
+        let spawn = |flags: &[&str], snet_store: &str| {
+            Daemon(
+                Command::new(bin)
+                    .env("SNET_STORE", snet_store)
+                    .args(*prefix)
+                    .args(flags)
+                    .stdout(Stdio::null())
+                    .stderr(Stdio::piped())
+                    .spawn()
+                    .unwrap(),
+            )
+        };
+        for flags in rejected {
+            let mut daemon = spawn(flags, "");
+            let mut status = None;
+            wait_for("a rejected flag to exit", || {
+                status = daemon.0.try_wait().unwrap();
+                status.is_some()
+            });
+            assert_eq!(status.unwrap().code(), Some(11), "{bin} {flags:?}");
+        }
+
+        // Every flag at once, then $SNET_STORE in place of --store.
+        let dir = tmpfile(&format!("serve-flags-{tag}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (log, store, env_store) =
+            (format!("{dir}/access.jsonl"), format!("{dir}/store"), format!("{dir}/env-store"));
+        let all_flags: Vec<&str> = vec![
+            "--addr",
+            "127.0.0.1:0",
+            "--store",
+            &store,
+            "--conn-threads",
+            "2",
+            "--max-jobs",
+            "1",
+            "--search-threads",
+            "1",
+            "--check-threads",
+            "1",
+            "--max-body-bytes",
+            "4096",
+            "--access-log",
+            &log,
+            "--slow-ms",
+            "60000",
+        ];
+        for (flags, store_dir, snet_store) in
+            [(all_flags, &store, ""), (vec!["--addr", "127.0.0.1:0"], &env_store, &env_store)]
+        {
+            let mut daemon = spawn(&flags, snet_store);
+            let stderr = BufReader::new(daemon.0.stderr.take().unwrap());
+            let addr = stderr
+                .lines()
+                .map_while(Result::ok)
+                .find_map(|l| l.strip_prefix("snetd: listening on ").map(str::to_string))
+                .unwrap_or_else(|| panic!("{bin} {flags:?} did not start"));
+            wait_for("the store to open", || std::path::Path::new(store_dir).exists());
+            if flags.len() > 2 {
+                // --max-body-bytes: an oversized body is refused.
+                assert_eq!(http_status(&addr, "POST", "/v1/check", &[b' '; 5000]), 413);
+                // --access-log: a routed request leaves one line.
+                assert_eq!(http_status(&addr, "GET", "/nope", b""), 404);
+                wait_for("the access log", || {
+                    std::fs::read_to_string(&log).is_ok_and(|t| t.contains("\"status\":404"))
+                });
+            }
+        }
+    }
 }

@@ -18,34 +18,13 @@
 
 use crate::element::ElementKind;
 use crate::network::ComparatorNetwork;
-use crate::verdict::Verdict;
-use serde::{Deserialize, Error as SerdeError, Number, Serialize, Value};
+use crate::verdict::{field, Verdict};
+use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use snet_obs::json::obj;
 
 /// Schema tag stamped into every service response; bump on breaking
 /// changes so old clients fail loudly instead of misparsing.
 pub const API_SCHEMA: &str = "snet-api/1";
-
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, SerdeError> {
-    v.as_object()
-        .and_then(|o| o.iter().find(|(k, _)| k == name).map(|(_, v)| v))
-        .ok_or_else(|| SerdeError::custom(format!("missing field `{name}`")))
-}
-
-fn opt_field<'v>(v: &'v Value, name: &str) -> Option<&'v Value> {
-    v.as_object().and_then(|o| o.iter().find(|(k, _)| k == name).map(|(_, v)| v))
-}
-
-fn string(s: &str) -> Value {
-    Value::String(s.to_string())
-}
-
-fn uint(u: u64) -> Value {
-    Value::Number(Number::U(u))
-}
 
 /// Where a service answer came from, in cost order: a warm store hit
 /// replays bytes, a coalesced answer shares another request's compile,
@@ -83,7 +62,7 @@ impl CacheState {
 
 impl Serialize for CacheState {
     fn serialize(&self) -> Value {
-        string(self.name())
+        self.name().serialize()
     }
 }
 
@@ -150,7 +129,7 @@ impl CheckResponse {
 impl Serialize for CheckResponse {
     fn serialize(&self) -> Value {
         obj(vec![
-            ("schema", string(&self.schema)),
+            ("schema", self.schema.serialize()),
             ("cache", self.cache.serialize()),
             ("verdict", self.verdict.serialize()),
         ])
@@ -183,11 +162,11 @@ pub struct AdversaryRequest {
 impl Serialize for AdversaryRequest {
     fn serialize(&self) -> Value {
         let mut fields = vec![
-            ("n", uint(u64::from(self.n))),
+            ("n", self.n.serialize()),
             ("stages", Value::Array(self.stages.iter().map(|s| s.serialize()).collect())),
         ];
         if let Some(k) = self.k {
-            fields.push(("k", uint(u64::from(k))));
+            fields.push(("k", k.serialize()));
         }
         obj(fields)
     }
@@ -204,7 +183,7 @@ impl Deserialize for AdversaryRequest {
         Ok(AdversaryRequest {
             n: u32::deserialize(field(v, "n")?)?,
             stages,
-            k: match opt_field(v, "k") {
+            k: match v.get("k") {
                 Some(kv) => Some(u32::deserialize(kv)?),
                 None => None,
             },
@@ -228,12 +207,12 @@ pub struct SearchRequest {
 
 impl Serialize for SearchRequest {
     fn serialize(&self) -> Value {
-        let mut fields = vec![("n", uint(u64::from(self.n))), ("mode", string(&self.mode))];
+        let mut fields = vec![("n", self.n.serialize()), ("mode", self.mode.serialize())];
         if let Some(d) = self.max_depth {
-            fields.push(("max_depth", uint(u64::from(d))));
+            fields.push(("max_depth", d.serialize()));
         }
         if let Some(t) = self.threads {
-            fields.push(("threads", uint(u64::from(t))));
+            fields.push(("threads", t.serialize()));
         }
         obj(fields)
     }
@@ -244,11 +223,11 @@ impl Deserialize for SearchRequest {
         Ok(SearchRequest {
             n: u32::deserialize(field(v, "n")?)?,
             mode: String::deserialize(field(v, "mode")?)?,
-            max_depth: match opt_field(v, "max_depth") {
+            max_depth: match v.get("max_depth") {
                 Some(d) => Some(u32::deserialize(d)?),
                 None => None,
             },
-            threads: match opt_field(v, "threads") {
+            threads: match v.get("threads") {
                 Some(t) => Some(u32::deserialize(t)?),
                 None => None,
             },
@@ -303,7 +282,7 @@ impl JobState {
 
 impl Serialize for JobState {
     fn serialize(&self) -> Value {
-        string(self.name())
+        self.name().serialize()
     }
 }
 
@@ -351,13 +330,13 @@ impl JobStatus {
 impl Serialize for JobStatus {
     fn serialize(&self) -> Value {
         let mut fields = vec![
-            ("schema", string(&self.schema)),
-            ("id", string(&self.id)),
-            ("kind", string(&self.kind)),
+            ("schema", self.schema.serialize()),
+            ("id", self.id.serialize()),
+            ("kind", self.kind.serialize()),
             ("state", self.state.serialize()),
         ];
         if let Some(e) = &self.error {
-            fields.push(("error", string(e)));
+            fields.push(("error", e.serialize()));
         }
         if let Some(r) = &self.result {
             fields.push(("result", r.clone()));
@@ -373,11 +352,11 @@ impl Deserialize for JobStatus {
             id: String::deserialize(field(v, "id")?)?,
             kind: String::deserialize(field(v, "kind")?)?,
             state: JobState::deserialize(field(v, "state")?)?,
-            error: match opt_field(v, "error") {
+            error: match v.get("error") {
                 Some(e) => Some(String::deserialize(e)?),
                 None => None,
             },
-            result: opt_field(v, "result").cloned(),
+            result: v.get("result").cloned(),
         })
     }
 }
@@ -438,23 +417,23 @@ impl ProgressFrame {
 
 impl Serialize for ProgressFrame {
     fn serialize(&self) -> Value {
-        let mut fields = vec![("job", string(&self.job)), ("seq", uint(self.seq))];
+        let mut fields = vec![("job", self.job.serialize()), ("seq", self.seq.serialize())];
         if let Some(t) = &self.trace {
-            fields.push(("trace", string(t)));
+            fields.push(("trace", t.serialize()));
         }
         match &self.kind {
             FrameKind::Lifecycle { state } => {
-                fields.push(("frame", string("lifecycle")));
+                fields.push(("frame", "lifecycle".serialize()));
                 fields.push(("state", state.serialize()));
             }
             FrameKind::Event { name, value } => {
-                fields.push(("frame", string("event")));
-                fields.push(("name", string(name)));
-                fields.push(("value", uint(*value)));
+                fields.push(("frame", "event".serialize()));
+                fields.push(("name", name.serialize()));
+                fields.push(("value", value.serialize()));
             }
             FrameKind::Log { message } => {
-                fields.push(("frame", string("log")));
-                fields.push(("message", string(message)));
+                fields.push(("frame", "log".serialize()));
+                fields.push(("message", message.serialize()));
             }
         }
         obj(fields)
@@ -478,7 +457,7 @@ impl Deserialize for ProgressFrame {
         Ok(ProgressFrame {
             job: String::deserialize(field(v, "job")?)?,
             seq: u64::deserialize(field(v, "seq")?)?,
-            trace: match opt_field(v, "trace") {
+            trace: match v.get("trace") {
                 Some(t) => Some(String::deserialize(t)?),
                 None => None,
             },
@@ -508,7 +487,7 @@ impl ErrorBody {
 
 impl Serialize for ErrorBody {
     fn serialize(&self) -> Value {
-        obj(vec![("error", string(&self.error))])
+        obj(vec![("error", self.error.serialize())])
     }
 }
 

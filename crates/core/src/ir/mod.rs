@@ -410,6 +410,12 @@ mod tests {
         );
         let all: Vec<usize> = partials.into_iter().flatten().collect();
         assert_eq!(all, (0..10).collect::<Vec<_>>());
+        // An empty batch evaluates to nothing and counts zero.
+        assert!(exec.evaluate_batch::<u32>(&[]).is_empty());
+        assert_eq!(exec.count_sorted(&[], 4), 0);
+        // A network that sorts nothing leaves random inputs unsorted.
+        let identity = Executor::compile(&ComparatorNetwork::empty(8));
+        assert!(identity.count_sorted(&inputs, 4) < 5);
     }
 
     #[test]

@@ -17,7 +17,8 @@
 use crate::ir::{CanonicalHash, Executor};
 use crate::network::ComparatorNetwork;
 use crate::sortcheck::SortCheck;
-use serde::{Deserialize, Error as SerdeError, Number, Serialize, Value};
+use serde::{Deserialize, Error as SerdeError, Serialize, Value};
+use snet_obs::json::{obj, str_map};
 use std::sync::OnceLock;
 
 /// Schema tag stamped into every verdict; bump on breaking changes so
@@ -210,26 +211,17 @@ pub fn verdict_zero_one_exhaustive(net: &ComparatorNetwork) -> Verdict {
 // explicit contract: cache hits return stored bytes verbatim.
 // ---------------------------------------------------------------------------
 
-fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-}
-
-fn u32s(v: &[u32]) -> Value {
-    Value::Array(v.iter().map(|&x| Value::Number(Number::U(u64::from(x)))).collect())
-}
-
 impl Serialize for VerdictKind {
     fn serialize(&self) -> Value {
         match self {
-            VerdictKind::SortCertificate { tested } => obj(vec![
-                ("kind", Value::String("sort-certificate".into())),
-                ("tested", Value::Number(Number::U(*tested))),
-            ]),
+            VerdictKind::SortCertificate { tested } => {
+                obj(vec![("kind", "sort-certificate".serialize()), ("tested", tested.serialize())])
+            }
             VerdictKind::Counterexample { index, input, output } => obj(vec![
-                ("kind", Value::String("counterexample".into())),
-                ("index", Value::Number(Number::U(*index))),
-                ("input", u32s(input)),
-                ("output", u32s(output)),
+                ("kind", "counterexample".serialize()),
+                ("index", index.serialize()),
+                ("input", input.serialize()),
+                ("output", output.serialize()),
             ]),
             VerdictKind::AdversaryWitness {
                 input_a,
@@ -240,23 +232,22 @@ impl Serialize for VerdictKind {
                 output_a,
                 output_b,
             } => obj(vec![
-                ("kind", Value::String("adversary-witness".into())),
-                ("input_a", u32s(input_a)),
-                ("input_b", u32s(input_b)),
-                ("m", Value::Number(Number::U(u64::from(*m)))),
-                ("wire_a", Value::Number(Number::U(u64::from(*wire_a)))),
-                ("wire_b", Value::Number(Number::U(u64::from(*wire_b)))),
-                ("output_a", u32s(output_a)),
-                ("output_b", u32s(output_b)),
+                ("kind", "adversary-witness".serialize()),
+                ("input_a", input_a.serialize()),
+                ("input_b", input_b.serialize()),
+                ("m", m.serialize()),
+                ("wire_a", wire_a.serialize()),
+                ("wire_b", wire_b.serialize()),
+                ("output_a", output_a.serialize()),
+                ("output_b", output_b.serialize()),
             ]),
         }
     }
 }
 
-fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, SerdeError> {
-    v.as_object()
-        .and_then(|o| o.iter().find(|(k, _)| k == name).map(|(_, v)| v))
-        .ok_or_else(|| SerdeError::custom(format!("missing field `{name}`")))
+/// Field `name` of an object, or a "missing field" error.
+pub(crate) fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, SerdeError> {
+    v.get(name).ok_or_else(|| SerdeError::custom(format!("missing field `{name}`")))
 }
 
 fn u32_vec(v: &Value, name: &str) -> Result<Vec<u32>, SerdeError> {
@@ -292,19 +283,11 @@ impl Deserialize for VerdictKind {
 impl Serialize for Verdict {
     fn serialize(&self) -> Value {
         obj(vec![
-            ("schema", Value::String(self.schema.clone())),
-            ("hash", Value::String(self.hash.to_hex())),
-            ("wires", Value::Number(Number::U(u64::from(self.wires)))),
+            ("schema", self.schema.serialize()),
+            ("hash", self.hash.to_hex().serialize()),
+            ("wires", self.wires.serialize()),
             ("verdict", self.kind.serialize()),
-            (
-                "manifest",
-                Value::Object(
-                    self.manifest
-                        .iter()
-                        .map(|(k, v)| (k.clone(), Value::String(v.clone())))
-                        .collect(),
-                ),
-            ),
+            ("manifest", str_map(&self.manifest)),
         ])
     }
 }

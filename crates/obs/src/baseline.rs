@@ -10,8 +10,9 @@
 //! workload-size metrics (node counts) are reported but never fail a
 //! diff on their own.
 
-use crate::event::{fmt_f64, write_json_string};
-use crate::report::{parse_json_object, JsonValue};
+use crate::event::fmt_f64;
+use crate::json::{num, obj, str_map};
+use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::BTreeMap;
 
 /// Schema tag stamped into every baseline file.
@@ -51,69 +52,14 @@ impl Baseline {
     /// Serializes to the baseline file format (pretty enough to diff in
     /// version control).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": ");
-        write_json_string(&mut out, &self.schema);
-        out.push_str(",\n  \"name\": ");
-        write_json_string(&mut out, &self.name);
-        out.push_str(",\n  \"manifest\": {");
-        for (i, (k, v)) in self.manifest.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            write_json_string(&mut out, k);
-            out.push_str(": ");
-            write_json_string(&mut out, v);
-        }
-        out.push_str("\n  },\n  \"metrics\": {");
-        for (i, (k, v)) in self.metrics.iter().enumerate() {
-            out.push_str(if i > 0 { ",\n    " } else { "\n    " });
-            write_json_string(&mut out, k);
-            out.push_str(": ");
-            out.push_str(&fmt_f64(*v));
-        }
-        out.push_str("\n  }\n}\n");
+        let mut out = serde_json::to_string_pretty(self).expect("a value tree always serializes");
+        out.push('\n');
         out
     }
 
     /// Parses a baseline file; `Err` explains what is malformed.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let fields = parse_json_object(text.trim())
-            .ok_or_else(|| "baseline file is not a JSON object".to_string())?;
-        let mut baseline = Baseline {
-            schema: String::new(),
-            name: String::new(),
-            manifest: Vec::new(),
-            metrics: BTreeMap::new(),
-        };
-        for (key, value) in fields {
-            match (key.as_str(), value) {
-                ("schema", JsonValue::Str(s)) => baseline.schema = s,
-                ("name", JsonValue::Str(s)) => baseline.name = s,
-                ("manifest", JsonValue::Obj(entries)) => {
-                    for (k, v) in entries {
-                        if let JsonValue::Str(s) = v {
-                            baseline.manifest.push((k, s));
-                        }
-                    }
-                }
-                ("metrics", JsonValue::Obj(entries)) => {
-                    for (k, v) in entries {
-                        if let JsonValue::Num(n) = v {
-                            baseline.metrics.insert(k, n);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
-        if baseline.schema.is_empty() {
-            return Err("baseline file has no schema field".to_string());
-        }
-        if !baseline.schema.starts_with("snet-bench-baseline/") {
-            return Err(format!("unrecognized baseline schema {:?}", baseline.schema));
-        }
-        if baseline.name.is_empty() {
-            return Err("baseline file has no name field".to_string());
-        }
-        Ok(baseline)
+        serde_json::from_str(text).map_err(|e| e.to_string())
     }
 
     /// Writes the baseline to `path`, creating parent directories.
@@ -129,6 +75,57 @@ impl Baseline {
         let text = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
         Baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
+    }
+}
+
+impl Serialize for Baseline {
+    fn serialize(&self) -> Value {
+        let metrics = self.metrics.iter().map(|(k, v)| (k.clone(), num(*v))).collect();
+        obj(vec![
+            ("schema", self.schema.serialize()),
+            ("name", self.name.serialize()),
+            ("manifest", str_map(&self.manifest)),
+            ("metrics", Value::Object(metrics)),
+        ])
+    }
+}
+
+/// Lenient about content, strict about identity: unknown keys,
+/// non-string manifest values and non-numeric metrics are skipped, but
+/// the file must be an object carrying a `snet-bench-baseline/*` schema
+/// and a name.
+impl Deserialize for Baseline {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        if v.as_object().is_none() {
+            return Err(Error::custom("baseline file is not a JSON object"));
+        }
+        let text = |key: &str| v.get(key).and_then(Value::as_str).unwrap_or_default().to_string();
+        let entries = |key: &str| v.get(key).and_then(Value::as_object).unwrap_or_default();
+        let baseline = Baseline {
+            schema: text("schema"),
+            name: text("name"),
+            manifest: entries("manifest")
+                .iter()
+                .filter_map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
+                .collect(),
+            metrics: entries("metrics")
+                .iter()
+                .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
+                .collect(),
+        };
+        if baseline.schema.is_empty() {
+            return Err(Error::custom("baseline file has no schema field"));
+        }
+        if !baseline.schema.starts_with("snet-bench-baseline/") {
+            return Err(Error::custom(format!(
+                "unrecognized baseline schema {:?}",
+                baseline.schema
+            )));
+        }
+        if baseline.name.is_empty() {
+            return Err(Error::custom("baseline file has no name field"));
+        }
+        Ok(baseline)
     }
 }
 

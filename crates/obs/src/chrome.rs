@@ -19,39 +19,38 @@
 //! Timestamps are microseconds since the run epoch, which is exactly the
 //! trace-event format's native unit.
 
-use crate::event::{fmt_f64, write_json_string, Event, EventKind};
+use crate::event::{Event, EventKind};
+use crate::json::{num, obj, str_map};
+use serde::{Serialize, Value};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The fixed process id stamped on every exported event (one trace file
 /// is one process).
 const PID: u64 = 1;
 
-fn push_args(out: &mut String, attrs: &[(String, String)]) {
-    out.push_str(",\"args\":{");
-    for (i, (k, v)) in attrs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_json_string(out, k);
-        out.push(':');
-        write_json_string(out, v);
-    }
-    out.push('}');
+/// One trace event: the common `ph`/`name`/`pid`/`tid`/`ts` head, then
+/// the phase-specific fields in order.
+fn record(ph: &str, name: &str, tid: u64, ts: u64, rest: Vec<(&str, Value)>) -> Value {
+    let mut fields = vec![
+        ("ph", ph.serialize()),
+        ("name", name.serialize()),
+        ("pid", PID.serialize()),
+        ("tid", tid.serialize()),
+        ("ts", ts.serialize()),
+    ];
+    fields.extend(rest);
+    obj(fields)
 }
 
-fn push_event_head(out: &mut String, ph: char, name: &str, tid: u64, ts: u64) {
-    use std::fmt::Write as _;
-    out.push_str("{\"ph\":\"");
-    out.push(ph);
-    out.push_str("\",\"name\":");
-    write_json_string(out, name);
-    let _ = write!(out, ",\"pid\":{PID},\"tid\":{tid},\"ts\":{ts}");
+/// `args` holding a single named value.
+fn arg(key: &str, value: Value) -> (&'static str, Value) {
+    ("args", obj(vec![(key, value)]))
 }
 
 /// Converts parsed trace events into a Chrome trace-event JSON document
 /// (the object form: `{"displayTimeUnit": …, "traceEvents": […]}`).
 pub fn to_chrome_trace(events: &[Event]) -> String {
-    let mut records: Vec<String> = Vec::with_capacity(events.len() + 8);
+    let mut records: Vec<Value> = Vec::with_capacity(events.len() + 8);
 
     // Metadata: process name (from the manifest when present) and one
     // labelled, sorted lane per thread ordinal.
@@ -60,11 +59,7 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
         .find(|e| e.kind == EventKind::Manifest)
         .and_then(|e| e.attr("tool"))
         .unwrap_or("snet");
-    let mut meta = String::new();
-    push_event_head(&mut meta, 'M', "process_name", 0, 0);
-    push_args(&mut meta, &[("name".to_string(), tool.to_string())]);
-    meta.push('}');
-    records.push(meta);
+    records.push(record("M", "process_name", 0, 0, vec![arg("name", tool.serialize())]));
 
     // Threads that published a lane label (via `thread_lane`) are named
     // by role; the rest keep the generic ordinal label. Last label wins,
@@ -85,15 +80,14 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
             None if tid == 0 => "main".to_string(),
             None => format!("worker-{tid}"),
         };
-        let mut name = String::new();
-        push_event_head(&mut name, 'M', "thread_name", tid, 0);
-        push_args(&mut name, &[("name".to_string(), label)]);
-        name.push('}');
-        records.push(name);
-        let mut sort = String::new();
-        push_event_head(&mut sort, 'M', "thread_sort_index", tid, 0);
-        sort.push_str(&format!(",\"args\":{{\"sort_index\":{tid}}}}}"));
-        records.push(sort);
+        records.push(record("M", "thread_name", tid, 0, vec![arg("name", label.serialize())]));
+        records.push(record(
+            "M",
+            "thread_sort_index",
+            tid,
+            0,
+            vec![arg("sort_index", tid.serialize())],
+        ));
     }
 
     // Spans that started but never finished surface as "B" events.
@@ -104,57 +98,49 @@ pub fn to_chrome_trace(events: &[Event]) -> String {
     let mut totals: BTreeMap<&str, f64> = BTreeMap::new();
 
     for e in events {
-        let mut rec = String::new();
-        match e.kind {
+        let rec = match e.kind {
             EventKind::SpanEnd => {
                 let ts = e.t_us.saturating_sub(e.dur_us);
-                push_event_head(&mut rec, 'X', &e.name, e.thread, ts);
-                rec.push_str(&format!(",\"dur\":{}", e.dur_us));
+                let mut rest = vec![("dur", e.dur_us.serialize())];
                 if !e.attrs.is_empty() {
-                    push_args(&mut rec, &e.attrs);
+                    rest.push(("args", str_map(&e.attrs)));
                 }
-                rec.push('}');
+                record("X", &e.name, e.thread, ts, rest)
             }
             EventKind::SpanStart => {
                 if ended.contains(&e.id) {
                     continue; // covered by the complete event
                 }
-                push_event_head(&mut rec, 'B', &e.name, e.thread, e.t_us);
-                rec.push('}');
+                record("B", &e.name, e.thread, e.t_us, Vec::new())
             }
             EventKind::Counter => {
                 let total = totals.entry(e.name.as_str()).or_insert(0.0);
                 *total += e.value;
-                push_event_head(&mut rec, 'C', &e.name, 0, e.t_us);
-                rec.push_str(&format!(",\"args\":{{\"value\":{}}}}}", fmt_f64(*total)));
+                record("C", &e.name, 0, e.t_us, vec![arg("value", num(*total))])
             }
             EventKind::Gauge => {
                 if e.name == crate::THREAD_LANE_EVENT {
                     continue; // consumed above as thread_name metadata
                 }
-                push_event_head(&mut rec, 'C', &e.name, 0, e.t_us);
-                rec.push_str(&format!(",\"args\":{{\"value\":{}}}}}", fmt_f64(e.value)));
+                record("C", &e.name, 0, e.t_us, vec![arg("value", num(e.value))])
             }
-            EventKind::Hist => {
-                push_event_head(&mut rec, 'i', &e.name, e.thread, e.t_us);
-                rec.push_str(",\"s\":\"g\"");
-                push_args(&mut rec, &e.attrs);
-                rec.push('}');
-            }
-            EventKind::Manifest => {
-                push_event_head(&mut rec, 'i', &e.name, e.thread, e.t_us);
-                rec.push_str(",\"s\":\"g\"");
-                push_args(&mut rec, &e.attrs);
-                rec.push('}');
-            }
-        }
+            EventKind::Hist | EventKind::Manifest => record(
+                "i",
+                &e.name,
+                e.thread,
+                e.t_us,
+                vec![("s", "g".serialize()), ("args", str_map(&e.attrs))],
+            ),
+        };
         records.push(rec);
     }
 
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.push_str(&records.join(",\n"));
-    out.push_str("\n]}\n");
-    out
+    // One event per line, so large exports stay greppable and diffable.
+    let lines: Vec<String> = records
+        .iter()
+        .map(|r| serde_json::to_string(r).expect("a value tree always serializes"))
+        .collect();
+    format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n", lines.join(",\n"))
 }
 
 /// Parses a JSONL trace and exports it ([`to_chrome_trace`] over

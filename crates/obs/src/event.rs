@@ -2,10 +2,13 @@
 //!
 //! Every observation the runtime produces is one [`Event`]: a span
 //! boundary, a counter increment, a gauge sample, or the run manifest.
-//! Events serialize to one flat JSON object per line; the subset of JSON
-//! emitted here (strings, unsigned/float numbers, and a single nested
-//! string→string `attrs` object) is exactly what [`crate::report`] parses
-//! back, so a trace file round-trips without any external dependency.
+//! Events serialize through `serde_json` to one flat JSON object per
+//! line (strings, unsigned/float numbers, and a single nested
+//! string→string `attrs` object), and [`crate::report`] parses the
+//! lines back through the same codec.
+
+use crate::json::{num, obj, str_map};
+use serde::{Deserialize, Error, Serialize, Value};
 
 /// What an [`Event`] records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,37 +84,7 @@ pub struct Event {
 impl Event {
     /// Encodes the event as one JSONL line (no trailing newline).
     pub fn to_json_line(&self) -> String {
-        let mut out = String::with_capacity(96);
-        out.push_str("{\"type\":\"");
-        out.push_str(self.kind.wire_name());
-        out.push_str("\",\"name\":");
-        write_json_string(&mut out, &self.name);
-        use std::fmt::Write as _;
-        let _ = write!(
-            out,
-            ",\"id\":{},\"parent\":{},\"thread\":{},\"t_us\":{}",
-            self.id, self.parent, self.thread, self.t_us
-        );
-        if self.dur_us != 0 {
-            let _ = write!(out, ",\"dur_us\":{}", self.dur_us);
-        }
-        if self.value != 0.0 {
-            let _ = write!(out, ",\"value\":{}", fmt_f64(self.value));
-        }
-        if !self.attrs.is_empty() {
-            out.push_str(",\"attrs\":{");
-            for (i, (k, v)) in self.attrs.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_json_string(&mut out, k);
-                out.push(':');
-                write_json_string(&mut out, v);
-            }
-            out.push('}');
-        }
-        out.push('}');
-        out
+        serde_json::to_string(self).expect("a value tree always serializes")
     }
 
     /// Looks up an attribute by key.
@@ -120,8 +93,79 @@ impl Event {
     }
 }
 
-/// Formats an `f64` so it parses back losslessly and never renders as
-/// bare `NaN`/`inf` (invalid JSON): non-finite values clamp to 0.
+/// Zero-valued `dur_us` and `value` and empty `attrs` are left out.
+impl Serialize for Event {
+    fn serialize(&self) -> Value {
+        let mut fields = vec![
+            ("type", self.kind.wire_name().serialize()),
+            ("name", self.name.serialize()),
+            ("id", self.id.serialize()),
+            ("parent", self.parent.serialize()),
+            ("thread", self.thread.serialize()),
+            ("t_us", self.t_us.serialize()),
+        ];
+        if self.dur_us != 0 {
+            fields.push(("dur_us", self.dur_us.serialize()));
+        }
+        if self.value != 0.0 {
+            fields.push(("value", num(self.value)));
+        }
+        if !self.attrs.is_empty() {
+            fields.push(("attrs", str_map(&self.attrs)));
+        }
+        obj(fields)
+    }
+}
+
+/// Strict: an unknown key, a value of the wrong type (ids must be
+/// non-negative integers, attrs strings) or a missing `type` is an error.
+impl Deserialize for Event {
+    fn deserialize(v: &Value) -> Result<Self, Error> {
+        let fields = v.as_object().ok_or_else(|| Error::custom("event is not an object"))?;
+        let mut ev = Event {
+            kind: EventKind::Counter,
+            name: String::new(),
+            id: 0,
+            parent: 0,
+            thread: 0,
+            t_us: 0,
+            dur_us: 0,
+            value: 0.0,
+            attrs: Vec::new(),
+        };
+        let mut kind = None;
+        for (key, val) in fields {
+            match key.as_str() {
+                "type" => {
+                    let wire = String::deserialize(val)?;
+                    let unknown = || Error::custom(format!("unknown event type {wire:?}"));
+                    kind = Some(EventKind::from_wire_name(&wire).ok_or_else(unknown)?);
+                }
+                "name" => ev.name = String::deserialize(val)?,
+                "id" => ev.id = u64::deserialize(val)?,
+                "parent" => ev.parent = u64::deserialize(val)?,
+                "thread" => ev.thread = u64::deserialize(val)?,
+                "t_us" => ev.t_us = u64::deserialize(val)?,
+                "dur_us" => ev.dur_us = u64::deserialize(val)?,
+                "value" => ev.value = f64::deserialize(val)?,
+                "attrs" => {
+                    let attrs =
+                        val.as_object().ok_or_else(|| Error::custom("attrs is not an object"))?;
+                    ev.attrs = attrs
+                        .iter()
+                        .map(|(k, v)| String::deserialize(v).map(|s| (k.clone(), s)))
+                        .collect::<Result<_, _>>()?;
+                }
+                other => return Err(Error::custom(format!("unknown event field {other:?}"))),
+            }
+        }
+        ev.kind = kind.ok_or_else(|| Error::custom("event has no type"))?;
+        Ok(ev)
+    }
+}
+
+/// Formats an `f64` for text output the way [`crate::json::num`] encodes
+/// it: non-finite values print as 0, integral ones without a fraction.
 pub(crate) fn fmt_f64(v: f64) -> String {
     if !v.is_finite() {
         return "0".to_string();
@@ -131,26 +175,6 @@ pub(crate) fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// Appends `s` as a JSON string literal (quoted, escaped) to `out`.
-pub(crate) fn write_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 #[cfg(test)]

@@ -385,7 +385,7 @@ mod tests {
         assert_eq!(c.sum(), 4 * 1000);
     }
 
-    // std::thread::scope keeps this crate dependency-free.
+    // std::thread::scope keeps crossbeam out of this crate.
     fn crossbeam_free_scope(h: &Histogram, c: &ShardedCounter) {
         std::thread::scope(|s| {
             for t in 0..4u64 {

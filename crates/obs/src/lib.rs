@@ -1,7 +1,6 @@
-//! `snet_obs` — dependency-free structured observability for the
-//! workspace: spans, counters, gauges, a per-thread event buffer drained
-//! to pluggable [`Sink`]s, and a [`RunManifest`] recording what produced
-//! a run.
+//! `snet_obs` — structured observability for the workspace: spans,
+//! counters, gauges, a per-thread event buffer drained to pluggable
+//! [`Sink`]s, and a [`RunManifest`] recording what produced a run.
 //!
 //! Design constraints, in order:
 //!
@@ -10,9 +9,10 @@
 //!    and an early return; no allocation, no locking, no time syscalls.
 //!    Hot loops stay uninstrumented — only phase boundaries (compiles,
 //!    passes, shards, adversary rounds) emit.
-//! 2. **No dependencies.** Consistent with the offline `vendor/` policy;
-//!    JSON encoding and the report-side parser are hand-rolled for the
-//!    small subset the event model needs.
+//! 2. **One JSON codec.** Events, manifests, baselines and Chrome
+//!    exports encode, and traces and baselines parse, through the
+//!    vendored `serde_json` the rest of the workspace uses ([`json`]
+//!    holds the shared builders); the only other dependency is `serde`.
 //! 3. **Thread-aware.** Events buffer in a thread-local queue (no global
 //!    lock on the emit path until a drain), spans nest via a thread-local
 //!    stack, and cross-thread nesting (worker shards under a coordinator
@@ -49,6 +49,7 @@ pub mod chrome;
 pub mod event;
 pub mod flight;
 pub mod hist;
+pub mod json;
 pub mod manifest;
 pub mod promtext;
 pub mod registry;

@@ -1,7 +1,8 @@
 //! The [`RunManifest`]: provenance captured once at run start so every
 //! trace file and `results/*.json` row records what produced it.
 
-use crate::event::{write_json_string, Event, EventKind};
+use crate::event::{Event, EventKind};
+use serde::{Serialize, Value};
 
 /// Schema identifier stamped into every manifest; bump on breaking
 /// changes so stale result files are detectable.
@@ -112,22 +113,6 @@ impl RunManifest {
         out
     }
 
-    /// Renders the manifest as one flat JSON object (all values strings),
-    /// suitable for embedding into a larger JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (k, v)) in self.fields().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            write_json_string(&mut out, k);
-            out.push(':');
-            write_json_string(&mut out, v);
-        }
-        out.push('}');
-        out
-    }
-
     /// The manifest as an [`Event`] (kind [`EventKind::Manifest`]).
     pub fn to_event(&self) -> Event {
         Event {
@@ -146,6 +131,14 @@ impl RunManifest {
     /// Emits the manifest to every installed sink (no-op when disabled).
     pub fn emit(&self) {
         crate::emit_event(self.to_event());
+    }
+}
+
+/// One flat object of strings, in [`RunManifest::fields`] order — the
+/// form bench documents embed under `"manifest"`.
+impl Serialize for RunManifest {
+    fn serialize(&self) -> Value {
+        crate::json::str_map(&self.fields())
     }
 }
 

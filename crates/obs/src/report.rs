@@ -1,10 +1,6 @@
 //! Reads a JSONL trace back into a [`Report`]: the reconstructed span
 //! tree plus counter and gauge summaries. This is what `snetctl report`
-//! renders.
-//!
-//! The parser handles exactly the JSON subset [`Event::to_json_line`]
-//! emits — flat objects of strings and numbers plus one nested
-//! string→string `attrs` object — keeping the crate dependency-free.
+//! renders. Lines parse through `serde_json` into [`Event`]s.
 
 use crate::event::{Event, EventKind};
 use crate::hist::HistSnapshot;
@@ -315,187 +311,11 @@ pub fn human_us(us: u64) -> String {
     }
 }
 
-// ---------------------------------------------------------------------
-// Minimal JSON parsing for the emitted subset.
-// ---------------------------------------------------------------------
-
 /// Parses one JSONL trace line back into an [`Event`]. Returns `None`
-/// for anything [`Event::to_json_line`] could not have produced.
+/// for anything [`Event::to_json_line`] could not have produced: an
+/// unknown key, a value of the wrong type, or a missing `type`.
 pub fn parse_event_line(line: &str) -> Option<Event> {
-    let fields = parse_json_object(line)?;
-    let mut ev = Event {
-        kind: EventKind::Counter,
-        name: String::new(),
-        id: 0,
-        parent: 0,
-        thread: 0,
-        t_us: 0,
-        dur_us: 0,
-        value: 0.0,
-        attrs: Vec::new(),
-    };
-    let mut saw_type = false;
-    for (key, val) in fields {
-        match (key.as_str(), val) {
-            ("type", JsonValue::Str(s)) => {
-                ev.kind = EventKind::from_wire_name(&s)?;
-                saw_type = true;
-            }
-            ("name", JsonValue::Str(s)) => ev.name = s,
-            ("id", JsonValue::Num(v)) => ev.id = v as u64,
-            ("parent", JsonValue::Num(v)) => ev.parent = v as u64,
-            ("thread", JsonValue::Num(v)) => ev.thread = v as u64,
-            ("t_us", JsonValue::Num(v)) => ev.t_us = v as u64,
-            ("dur_us", JsonValue::Num(v)) => ev.dur_us = v as u64,
-            ("value", JsonValue::Num(v)) => ev.value = v,
-            ("attrs", JsonValue::Obj(kv)) => {
-                ev.attrs = kv
-                    .into_iter()
-                    .map(|(k, v)| match v {
-                        JsonValue::Str(s) => Some((k, s)),
-                        _ => None,
-                    })
-                    .collect::<Option<Vec<_>>>()?;
-            }
-            _ => return None,
-        }
-    }
-    if !saw_type {
-        return None;
-    }
-    Some(ev)
-}
-
-pub(crate) enum JsonValue {
-    Str(String),
-    Num(f64),
-    Obj(Vec<(String, JsonValue)>),
-}
-
-/// Parses a complete JSON object document (any whitespace layout) of the
-/// string/number/nested-object subset this crate emits. Used by
-/// [`crate::baseline`] to read baseline files back.
-pub(crate) fn parse_json_object(text: &str) -> Option<Vec<(String, JsonValue)>> {
-    let mut p = Parser { b: text.as_bytes(), i: 0 };
-    let fields = p.object()?;
-    p.ws();
-    if p.i != p.b.len() {
-        return None;
-    }
-    Some(fields)
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Option<()> {
-        self.ws();
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Some(())
-        } else {
-            None
-        }
-    }
-
-    fn object(&mut self) -> Option<Vec<(String, JsonValue)>> {
-        self.eat(b'{')?;
-        let mut out = Vec::new();
-        self.ws();
-        if self.i < self.b.len() && self.b[self.i] == b'}' {
-            self.i += 1;
-            return Some(out);
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            let val = self.value()?;
-            out.push((key, val));
-            self.ws();
-            match self.b.get(self.i)? {
-                b',' => self.i += 1,
-                b'}' => {
-                    self.i += 1;
-                    return Some(out);
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    fn value(&mut self) -> Option<JsonValue> {
-        self.ws();
-        match self.b.get(self.i)? {
-            b'"' => Some(JsonValue::Str(self.string()?)),
-            b'{' => Some(JsonValue::Obj(self.object()?)),
-            _ => self.number(),
-        }
-    }
-
-    fn number(&mut self) -> Option<JsonValue> {
-        let start = self.i;
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i]).ok()?.parse().ok().map(JsonValue::Num)
-    }
-
-    fn string(&mut self) -> Option<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match *self.b.get(self.i)? {
-                b'"' => {
-                    self.i += 1;
-                    return Some(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match *self.b.get(self.i)? {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hex = self.b.get(self.i + 1..self.i + 5)?;
-                            let code =
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()?;
-                            out.push(char::from_u32(code)?);
-                            self.i += 4;
-                        }
-                        _ => return None,
-                    }
-                    self.i += 1;
-                }
-                c if c < 0x80 => {
-                    out.push(c as char);
-                    self.i += 1;
-                }
-                _ => {
-                    // Multi-byte UTF-8: copy the full scalar.
-                    let s = std::str::from_utf8(&self.b[self.i..]).ok()?;
-                    let ch = s.chars().next()?;
-                    out.push(ch);
-                    self.i += ch.len_utf8();
-                }
-            }
-        }
-    }
+    serde_json::from_str(line).ok()
 }
 
 #[cfg(test)]
@@ -630,6 +450,41 @@ mod tests {
         let rendered = render(&report);
         assert!(rendered.contains("search.task.nodes"));
         assert!(rendered.contains("p99"));
+    }
+
+    #[test]
+    fn ids_above_2_pow_53_parse_exactly() {
+        let big = (1u64 << 53) + 1;
+        let mut ev = parse_event_line(&line(EventKind::SpanEnd, "x", 1, 0, 5, 1)).unwrap();
+        ev.id = big;
+        ev.parent = big - 2;
+        ev.t_us = u64::MAX;
+        let text = ev.to_json_line();
+        assert!(text.contains("\"id\":9007199254740993"), "{text}");
+        assert_eq!(parse_event_line(&text), Some(ev));
+    }
+
+    #[test]
+    fn negative_fractional_and_mistyped_fields_are_rejected() {
+        let ok = r#"{"type":"span_end","name":"x","id":3,"parent":0,"thread":0,"t_us":5}"#;
+        assert!(parse_event_line(ok).is_some());
+        for bad in [
+            r#"{"type":"span_end","name":"x","id":-1}"#,
+            r#"{"type":"span_end","name":"x","id":1.5}"#,
+            r#"{"type":"span_end","name":"x","t_us":-7}"#,
+            r#"{"type":"span_end","name":"x","thread":0.25}"#,
+            r#"{"type":"span_end","name":"x","id":"3"}"#,
+            r#"{"type":"span_end","name":7}"#,
+            r#"{"type":"span_end","name":"x","id":null}"#,
+            r#"{"type":"span_end","attrs":{"k":1}}"#,
+            r#"{"type":"span_end","attrs":["k"]}"#,
+            r#"{"type":"span_end","bogus":1}"#,
+            r#"{"type":"nope"}"#,
+            r#"{"name":"x","id":1}"#,
+            r#"[{"type":"span_end"}]"#,
+        ] {
+            assert_eq!(parse_event_line(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Trace-context propagation: a 128-bit trace id plus a 64-bit parent
 //! span id, carried across process boundaries in an `x-snet-trace`
-//! header (`<32 hex trace>-<16 hex span>`, W3C-traceparent flavoured but
-//! dependency-free like the rest of the crate).
+//! header (`<32 hex trace>-<16 hex span>`, W3C-traceparent flavoured,
+//! hand-parsed with no tracing library).
 //!
 //! The contract is asymmetric by design:
 //!

@@ -1,6 +1,9 @@
 //! Property tests for report span-forest reconstruction: random span
 //! forests, truncated traces, and adversarially shuffled cross-thread
-//! line orders must all reconstruct to the same tree shape.
+//! line orders must all reconstruct to the same tree shape. The trace
+//! and baseline parsers must also survive damaged input — truncation at
+//! any byte, including inside a multi-byte character, and byte flips —
+//! without panicking.
 //!
 //! Events are generated directly (not through the live emit API) so each
 //! case controls ids, threads, and interleavings exactly. The generator
@@ -9,7 +12,7 @@
 
 use proptest::prelude::*;
 use snet_obs::report::{self, SpanNode};
-use snet_obs::{Event, EventKind};
+use snet_obs::{Baseline, Event, EventKind};
 use std::collections::BTreeMap;
 
 /// Deterministic pseudo-random stream (64-bit LCG, Knuth constants).
@@ -118,6 +121,68 @@ fn parent_map(roots: &[SpanNode]) -> BTreeMap<u64, u64> {
     out
 }
 
+/// Valid parser inputs: a trace whose lines carry multi-byte attrs and
+/// every value shape, and a baseline file with a non-ASCII manifest.
+fn valid_documents() -> Vec<String> {
+    let mut end = Event {
+        kind: EventKind::SpanEnd,
+        name: "search.wörker".into(),
+        id: (1 << 53) + 1,
+        parent: 2,
+        thread: 3,
+        t_us: 900,
+        dur_us: 78,
+        value: 2.5,
+        attrs: vec![("note".into(), "a \"q\"\n→✓ 😀".into()), ("ü".into(), "ß".into())],
+    };
+    let mut lines = vec![end.to_json_line()];
+    end.kind = EventKind::Counter;
+    end.value = 64.0;
+    end.attrs.clear();
+    lines.push(end.to_json_line());
+    let manifest = vec![("tool".to_string(), "fuzz".to_string()), ("hôst".into(), "ĉ😀".into())];
+    end.kind = EventKind::Manifest;
+    end.attrs = manifest.clone();
+    lines.push(end.to_json_line());
+    let trace = lines.join("\n") + "\n";
+    let baseline = Baseline {
+        schema: snet_obs::BASELINE_SCHEMA.into(),
+        name: "fuzz_ü".into(),
+        manifest,
+        metrics: [("wall_ms".to_string(), 12.5), ("nodes".into(), 7.0)].into(),
+    };
+    let mut docs = lines;
+    docs.push(trace);
+    docs.push(baseline.to_json());
+    docs
+}
+
+/// Runs every parser over `bytes` (lossily decoded, as the flight dump
+/// reader does); a panic fails the test.
+fn parse_all(bytes: &[u8]) -> Option<Event> {
+    let text = String::from_utf8_lossy(bytes);
+    let _ = report::parse_trace_lossy(&text);
+    let _ = report::parse_trace(&text);
+    let _ = Baseline::parse(&text);
+    report::parse_event_line(&text)
+}
+
+#[test]
+fn parsers_survive_truncation_at_every_byte() {
+    for doc in valid_documents() {
+        let bytes = doc.as_bytes();
+        assert!(bytes.iter().any(|b| *b >= 0x80), "input has multi-byte characters");
+        for cut in 0..bytes.len() {
+            // A prefix of one object line is never a whole event.
+            let parsed = parse_all(&bytes[..cut]);
+            if !doc.contains('\n') {
+                assert_eq!(parsed, None, "prefix of {cut} bytes parsed: {doc}");
+            }
+        }
+        assert!(parse_all(bytes).is_some() || doc.contains('\n'));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -179,5 +244,24 @@ proptest! {
         let parsed = report::parse_trace(&text).expect("trace parses");
         let direct = report::summarize(events);
         prop_assert_eq!(parsed, direct);
+    }
+
+    /// Random byte flips never panic a parser, and whatever still
+    /// parses as an event re-encodes to a line that parses back the same.
+    #[test]
+    fn parsers_survive_byte_flips(seed in 0u64..100_000) {
+        let mut rng = Lcg(seed.wrapping_mul(3) + 7);
+        for doc in valid_documents() {
+            let mut bytes = doc.into_bytes();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(bytes.len() as u64) as usize;
+                bytes[at] = rng.below(256) as u8;
+            }
+            if let Some(ev) = parse_all(&bytes) {
+                if ev.value.is_finite() {
+                    prop_assert_eq!(report::parse_event_line(&ev.to_json_line()), Some(ev));
+                }
+            }
+        }
     }
 }

@@ -27,6 +27,7 @@
 #![warn(missing_docs)]
 
 pub mod engine;
+pub mod frontier;
 pub mod layers;
 pub mod tt;
 
@@ -34,5 +35,6 @@ pub use engine::{
     search, BudgetRound, CancelToken, PrefixSummary, RoundHists, SearchConfig, SearchMode,
     SearchOutcome, SearchStats, WorkerBalance,
 };
+pub use frontier::{Frontier, FRONTIER_SCHEMA};
 pub use layers::{Layer, MoveSet};
 pub use tt::TransTable;

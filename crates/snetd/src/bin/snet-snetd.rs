@@ -1,68 +1,35 @@
-//! The `snet-snetd` daemon binary. Thin flag parsing over
+//! The `snet-snetd` daemon binary: [`ServeConfig::from_args`] over
 //! [`snet_service::serve`]; exits 11 when the service cannot start
 //! (bind failure, bad flags, unopenable store).
 
-use snet_service::{install_signal_handlers, serve, Limits, ServeConfig};
+use snet_service::{install_signal_handlers, serve, ServeConfig, SERVE_FLAGS};
 
 /// Exit code for "the daemon could not start" (mirrors
 /// `snetctl`'s exit-code table).
 const DAEMON_FAILED: i32 = 11;
 
-const USAGE: &str = "\
-usage: snet-snetd [--addr HOST:PORT] [--store DIR] [--conn-threads N]
-                  [--max-jobs N] [--search-threads N] [--check-threads N]
-                  [--max-body-bytes N]
-
-Serves POST /v1/check, /v1/adversary, /v1/search, GET /v1/jobs/{id},
-GET /metrics, GET /healthz. --addr defaults to 127.0.0.1:7421; port 0
-picks a free port (printed on startup). SIGTERM drains gracefully.
-";
-
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1).cloned())
-}
-
-fn parse<T: std::str::FromStr>(value: &str, name: &str) -> Result<T, String> {
-    value.parse().map_err(|_| format!("cannot parse {name} value {value:?}"))
-}
-
-fn build_config(args: &[String]) -> Result<ServeConfig, String> {
-    let mut cfg = ServeConfig { addr: "127.0.0.1:7421".into(), ..ServeConfig::default() };
-    if let Some(addr) = flag(args, "--addr") {
-        cfg.addr = addr;
-    }
-    if let Some(dir) = flag(args, "--store") {
-        cfg.store = Some(std::path::PathBuf::from(dir));
-    }
-    if let Some(v) = flag(args, "--conn-threads") {
-        cfg.conn_threads = parse(&v, "--conn-threads")?;
-    }
-    if let Some(v) = flag(args, "--max-jobs") {
-        cfg.max_jobs = parse(&v, "--max-jobs")?;
-    }
-    if let Some(v) = flag(args, "--search-threads") {
-        cfg.search_threads = parse(&v, "--search-threads")?;
-    }
-    if let Some(v) = flag(args, "--check-threads") {
-        cfg.check_threads = parse(&v, "--check-threads")?;
-    }
-    if let Some(v) = flag(args, "--max-body-bytes") {
-        cfg.limits = Limits { max_body_bytes: parse(&v, "--max-body-bytes")?, ..cfg.limits };
-    }
-    Ok(cfg)
+fn usage() -> String {
+    format!(
+        "usage: snet-snetd {}\n\n\
+         Serves POST /v1/check, /v1/adversary, /v1/search, GET /v1/jobs/{{id}},\n\
+         GET /metrics, GET /healthz. --addr defaults to 127.0.0.1:7421; port 0\n\
+         picks a free port (printed on startup). --store defaults to $SNET_STORE.\n\
+         SIGTERM drains gracefully.\n",
+        SERVE_FLAGS.replace('\n', "\n                  ")
+    )
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print!("{USAGE}");
+        print!("{}", usage());
         return;
     }
-    let cfg = match build_config(&args) {
+    let cfg = match ServeConfig::from_args(&args) {
         Ok(cfg) => cfg,
         Err(e) => {
             eprintln!("snetd: {e}");
-            eprint!("{USAGE}");
+            eprint!("{}", usage());
             std::process::exit(DAEMON_FAILED);
         }
     };

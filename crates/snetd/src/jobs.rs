@@ -27,12 +27,13 @@
 //! never calls back into the obs API.
 
 use crate::telemetry::RequestCtx;
-use serde::{Number, Serialize, Value};
+use serde::{Serialize, Value};
 use snet_core::api::{AdversaryRequest, ProgressFrame, SearchRequest};
 use snet_core::api::{CacheState, FrameKind, JobState, JobStatus, API_SCHEMA};
 use snet_core::ir::{CanonicalHash, Executor};
 use snet_core::network::ComparatorNetwork;
 use snet_core::verdict::{verdict_zero_one, Verdict};
+use snet_obs::json::obj;
 use snet_obs::{Event, EventKind, RunManifest, Sink, SinkHandle};
 use snet_search::{search, CancelToken, SearchConfig, SearchMode, SearchOutcome};
 use snet_store::ArtifactStore;
@@ -625,14 +626,11 @@ impl JobManager {
         if let Some(t) = job.obs.trace() {
             manifest.push_extra("trace_id", t.to_string());
         }
-        let manifest_obj = Value::Object(
-            manifest.fields().into_iter().map(|(k, v)| (k, Value::String(v))).collect(),
-        );
-        Value::Object(vec![
-            ("hash".into(), Value::String(hash.to_hex())),
-            ("sorting".into(), Value::Bool(verdict.is_sorting())),
-            ("compile_spans".into(), Value::Number(Number::U(job.obs.compile_spans()))),
-            ("manifest".into(), manifest_obj),
+        obj(vec![
+            ("hash", hash.to_hex().serialize()),
+            ("sorting", verdict.is_sorting().serialize()),
+            ("compile_spans", job.obs.compile_spans().serialize()),
+            ("manifest", manifest.serialize()),
         ])
     }
 
@@ -870,27 +868,27 @@ impl JobManager {
 
 /// The search job's terminal result document.
 fn search_result_value(out: &SearchOutcome) -> Value {
-    let mut fields: Vec<(String, Value)> = vec![
-        ("n".into(), Value::Number(Number::U(out.n as u64))),
-        ("mode".into(), Value::String(out.mode.name().to_string())),
-        ("floor".into(), Value::Number(Number::U(out.floor as u64))),
-        ("max_depth".into(), Value::Number(Number::U(out.max_depth as u64))),
-        ("cancelled".into(), Value::Bool(out.cancelled)),
-        ("rounds".into(), Value::Number(Number::U(out.rounds.len() as u64))),
-        ("nodes".into(), Value::Number(Number::U(out.totals.nodes))),
-        ("tt_preloaded".into(), Value::Number(Number::U(out.tt_preloaded))),
-        ("tt_spilled".into(), Value::Number(Number::U(out.tt_spilled))),
+    let mut fields = vec![
+        ("n", out.n.serialize()),
+        ("mode", out.mode.name().serialize()),
+        ("floor", out.floor.serialize()),
+        ("max_depth", out.max_depth.serialize()),
+        ("cancelled", out.cancelled.serialize()),
+        ("rounds", out.rounds.len().serialize()),
+        ("nodes", out.totals.nodes.serialize()),
+        ("tt_preloaded", out.tt_preloaded.serialize()),
+        ("tt_spilled", out.tt_spilled.serialize()),
     ];
     if let Some(d) = out.optimal_depth {
-        fields.push(("optimal_depth".into(), Value::Number(Number::U(d as u64))));
+        fields.push(("optimal_depth", d.serialize()));
     }
     if let Some(v) = &out.verdict {
-        fields.push(("verdict".into(), v.serialize()));
+        fields.push(("verdict", v.serialize()));
     }
     if let Some(net) = &out.network {
-        fields.push(("network".into(), net.serialize()));
+        fields.push(("network", net.serialize()));
     }
-    Value::Object(fields)
+    obj(fields)
 }
 
 fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {

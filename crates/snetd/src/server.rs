@@ -35,7 +35,9 @@ use crate::telemetry::{
     self, AccessLog, RequestCtx, RequestEntry, RequestRing, RequestTrace, TraceCapture, TraceStore,
     LINK_HEADER,
 };
+use serde::Serialize;
 use snet_core::api::{AdversaryRequest, CheckRequest, ErrorBody, SearchRequest, API_SCHEMA};
+use snet_obs::json::obj;
 use snet_obs::tracectx::TraceContext;
 use snet_store::ArtifactStore;
 use std::io::{BufReader, Write};
@@ -134,6 +136,48 @@ impl Default for ServeConfig {
             access_log: None,
             slow_ms: None,
         }
+    }
+}
+
+/// The daemon's flags, as `snet-snetd --help` and `snetctl serve` list
+/// them; [`ServeConfig::from_args`] parses exactly these.
+pub const SERVE_FLAGS: &str = "\
+[--addr HOST:PORT] [--store DIR] [--conn-threads N] [--max-jobs N]
+[--search-threads N] [--check-threads N] [--max-body-bytes N]
+[--access-log FILE.jsonl] [--slow-ms MS]";
+
+impl ServeConfig {
+    /// Parses the daemon flags ([`SERVE_FLAGS`]): the one parser behind
+    /// both `snet-snetd` and `snetctl serve`. `--addr` defaults to
+    /// `127.0.0.1:7421`; without `--store`, a non-empty `$SNET_STORE`
+    /// names the store. An unknown flag, or a missing or unparsable
+    /// value, is an error; both entry points exit 11 on it.
+    pub fn from_args(args: &[String]) -> Result<ServeConfig, String> {
+        fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+            value.parse().map_err(|_| format!("invalid {flag} value '{value}'"))
+        }
+        let mut cfg = ServeConfig { addr: "127.0.0.1:7421".into(), ..ServeConfig::default() };
+        let mut store = std::env::var("SNET_STORE").ok().filter(|v| !v.is_empty());
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || {
+                args.next().map(String::as_str).ok_or_else(|| format!("{flag} requires a value"))
+            };
+            match flag.as_str() {
+                "--addr" => cfg.addr = value()?.to_string(),
+                "--store" => store = Some(value()?.to_string()),
+                "--conn-threads" => cfg.conn_threads = parse(flag, value()?)?,
+                "--max-jobs" => cfg.max_jobs = parse(flag, value()?)?,
+                "--search-threads" => cfg.search_threads = parse(flag, value()?)?,
+                "--check-threads" => cfg.check_threads = parse(flag, value()?)?,
+                "--max-body-bytes" => cfg.limits.max_body_bytes = parse(flag, value()?)?,
+                "--access-log" => cfg.access_log = Some(value()?.into()),
+                "--slow-ms" => cfg.slow_ms = Some(parse(flag, value()?)?),
+                other => return Err(format!("unknown flag '{other}'")),
+            }
+        }
+        cfg.store = store.map(std::path::PathBuf::from);
+        Ok(cfg)
     }
 }
 
@@ -722,7 +766,8 @@ fn handle_job_get(w: &mut impl Write, id: &str, manager: &JobManager, meta: &mut
 
 fn handle_job_delete(w: &mut impl Write, id: &str, manager: &JobManager, meta: &mut ReqMeta) {
     if manager.cancel(id) {
-        let body = format!("{{\"schema\":\"{API_SCHEMA}\",\"cancelled\":\"{id}\"}}");
+        let doc = obj(vec![("schema", API_SCHEMA.serialize()), ("cancelled", id.serialize())]);
+        let body = serde_json::to_string(&doc).expect("a value tree always serializes");
         respond(w, meta, 200, JSON, body.as_bytes(), &[]);
     } else {
         let body = ErrorBody::new(format!("unknown job {id:?}")).to_json();

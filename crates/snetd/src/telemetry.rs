@@ -21,6 +21,8 @@
 //! The capture sink never calls back into the obs API (that would
 //! deadlock the drain); it only touches its own mutexes.
 
+use serde::{Serialize, Value};
+use snet_obs::json::obj;
 use snet_obs::tracectx::{TraceContext, TRACE_HEADER};
 use snet_obs::{Event, EventKind, Sink, TraceId};
 use std::collections::{HashMap, VecDeque};
@@ -240,26 +242,27 @@ pub struct RequestEntry {
 }
 
 impl RequestEntry {
-    fn to_json(&self, active: bool) -> String {
-        let mut out = String::from("{");
-        push_str_field(&mut out, "trace", &self.trace, true);
-        push_str_field(&mut out, "method", &self.method, false);
-        push_str_field(&mut out, "endpoint", &self.endpoint, false);
-        out.push_str(&format!(",\"active\":{active}"));
-        out.push_str(&format!(",\"start_us\":{}", self.start_us));
+    /// One ring row; the outcome fields appear once the request finished.
+    fn to_value(&self, active: bool) -> Value {
+        let mut fields = vec![
+            ("trace", self.trace.serialize()),
+            ("method", self.method.serialize()),
+            ("endpoint", self.endpoint.serialize()),
+            ("active", active.serialize()),
+            ("start_us", self.start_us.serialize()),
+        ];
         if !active {
-            out.push_str(&format!(",\"status\":{}", self.status));
-            out.push_str(&format!(",\"bytes\":{}", self.bytes));
-            out.push_str(&format!(",\"dur_us\":{}", self.dur_us));
+            fields.push(("status", self.status.serialize()));
+            fields.push(("bytes", self.bytes.serialize()));
+            fields.push(("dur_us", self.dur_us.serialize()));
         }
         if let Some(c) = &self.cache {
-            push_str_field(&mut out, "cache", c, false);
+            fields.push(("cache", c.serialize()));
         }
         if let Some(l) = &self.link {
-            push_str_field(&mut out, "link", l, false);
+            fields.push(("link", l.serialize()));
         }
-        out.push('}');
-        out
+        obj(fields)
     }
 }
 
@@ -313,22 +316,12 @@ impl RequestRing {
             self.active.lock().expect("request ring poisoned").values().cloned().collect();
         active.sort_by_key(|e| e.start_us);
         let recent = self.recent.lock().expect("request ring poisoned");
-        let mut out = format!("{{\"schema\":\"{}\",\"active\":[", snet_core::api::API_SCHEMA);
-        for (i, e) in active.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json(true));
-        }
-        out.push_str("],\"recent\":[");
-        for (i, e) in recent.iter().rev().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json(false));
-        }
-        out.push_str("]}");
-        out
+        let doc = obj(vec![
+            ("schema", snet_core::api::API_SCHEMA.serialize()),
+            ("active", Value::Array(active.iter().map(|e| e.to_value(true)).collect())),
+            ("recent", Value::Array(recent.iter().rev().map(|e| e.to_value(false)).collect())),
+        ]);
+        serde_json::to_string(&doc).expect("a value tree always serializes")
     }
 }
 
@@ -419,53 +412,27 @@ impl AccessLog {
         dur_us: u64,
         link: Option<&str>,
     ) {
-        let mut line = String::from("{");
-        push_str_field(&mut line, "schema", ACCESS_SCHEMA, true);
-        line.push_str(&format!(",\"t_us\":{t_us}"));
-        push_str_field(&mut line, "trace", trace, false);
-        push_str_field(&mut line, "method", method, false);
-        push_str_field(&mut line, "endpoint", endpoint, false);
-        line.push_str(&format!(",\"status\":{status}"));
-        if let Some(c) = cache {
-            push_str_field(&mut line, "cache", c, false);
-        }
-        if let Some(h) = hash {
-            push_str_field(&mut line, "hash", h, false);
-        }
-        if let Some(j) = job {
-            push_str_field(&mut line, "job", j, false);
-        }
-        line.push_str(&format!(",\"bytes\":{bytes}"));
-        line.push_str(&format!(",\"dur_us\":{dur_us}"));
+        let mut fields = vec![
+            ("schema", ACCESS_SCHEMA.serialize()),
+            ("t_us", t_us.serialize()),
+            ("trace", trace.serialize()),
+            ("method", method.serialize()),
+            ("endpoint", endpoint.serialize()),
+            ("status", status.serialize()),
+        ];
+        let optional = [("cache", cache), ("hash", hash), ("job", job)];
+        fields.extend(optional.into_iter().filter_map(|(k, v)| Some((k, v?.serialize()))));
+        fields.push(("bytes", bytes.serialize()));
+        fields.push(("dur_us", dur_us.serialize()));
         if let Some(l) = link {
-            push_str_field(&mut line, "link", l, false);
+            fields.push(("link", l.serialize()));
         }
-        line.push_str("}\n");
+        let mut line = serde_json::to_string(&obj(fields)).expect("a value tree always serializes");
+        line.push('\n');
         let mut f = self.file.lock().expect("access log poisoned");
         let _ = f.write_all(line.as_bytes());
         let _ = f.flush();
     }
-}
-
-fn push_str_field(out: &mut String, key: &str, value: &str, first: bool) {
-    if !first {
-        out.push(',');
-    }
-    out.push('"');
-    out.push_str(key);
-    out.push_str("\":\"");
-    for c in value.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 // ---------------------------------------------------------------------------
@@ -591,6 +558,53 @@ mod tests {
         store.insert(second);
         let stored = store.get(&id.to_hex()).expect("id stays stored");
         assert_eq!(stored.events().len(), 2, "second request's events appended, not clobbered");
+    }
+
+    /// Bytes captured before the ring and the access log moved onto
+    /// `serde_json`.
+    #[test]
+    fn debug_ring_document_keeps_its_bytes() {
+        let ring = RequestRing::default();
+        let entry = |trace: &str, start_us: u64| RequestEntry {
+            trace: trace.into(),
+            method: "POST".into(),
+            endpoint: "/v1/check".into(),
+            start_us,
+            status: 0,
+            cache: None,
+            bytes: 0,
+            dur_us: 0,
+            link: None,
+        };
+        let a = ring.begin(entry("aa", 10));
+        ring.begin(entry("b\"b", 5));
+        let c = ring.begin(entry("cc", 20));
+        ring.finish(a, 200, Some("miss".into()), 42, 1234, None);
+        ring.finish(c, 200, Some("coalesced".into()), 42, 99, Some("aa".into()));
+        let expected = r#"{"schema":"snet-api/1","active":[{"trace":"b\"b","method":"POST","endpoint":"/v1/check","active":true,"start_us":5}],"recent":[{"trace":"cc","method":"POST","endpoint":"/v1/check","active":false,"start_us":20,"status":200,"bytes":42,"dur_us":99,"cache":"coalesced","link":"aa"},{"trace":"aa","method":"POST","endpoint":"/v1/check","active":false,"start_us":10,"status":200,"bytes":42,"dur_us":1234,"cache":"miss"}]}"#;
+        assert_eq!(ring.to_json(), expected);
+    }
+
+    #[test]
+    fn access_log_lines_keep_their_bytes() {
+        let dir = std::env::temp_dir().join("snetd-telemetry-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("access-golden-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let log = AccessLog::open(&path).unwrap();
+        let (trace, link) =
+            ("0123456789abcdef0123456789abcdef", "fedcba9876543210fedcba9876543210");
+        let (cache, hash, job) = (Some("miss"), Some("ff00"), Some("job-0"));
+        log.log(5, trace, "POST", "/v1/check", 200, cache, hash, job, 10, 20, Some(link));
+        log.log(9, "tr\"ace", "GET", "/healthz", 404, None, None, None, 2, 1, None);
+        let expected = concat!(
+            r#"{"schema":"snet-access/1","t_us":5,"trace":"0123456789abcdef0123456789abcdef","method":"POST","endpoint":"/v1/check","status":200,"cache":"miss","hash":"ff00","job":"job-0","bytes":10,"dur_us":20,"link":"fedcba9876543210fedcba9876543210"}"#,
+            "\n",
+            r#"{"schema":"snet-access/1","t_us":9,"trace":"tr\"ace","method":"GET","endpoint":"/healthz","status":404,"bytes":2,"dur_us":1}"#,
+            "\n",
+        );
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), expected);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

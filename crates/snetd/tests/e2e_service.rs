@@ -60,10 +60,6 @@ fn check_body(net: &ComparatorNetwork) -> Vec<u8> {
         .into_bytes()
 }
 
-fn obj_get<'v>(v: &'v Value, key: &str) -> Option<&'v Value> {
-    v.as_object().and_then(|o| o.iter().find(|(k, _)| k == key).map(|(_, v)| v))
-}
-
 #[test]
 fn cold_check_computes_and_warm_check_replays_bytes_without_recompiling() {
     let (handle, addr, root) = daemon("warm");
@@ -89,9 +85,9 @@ fn cold_check_computes_and_warm_check_replays_bytes_without_recompiling() {
     let status = JobStatus::parse(&status_resp.text()).unwrap();
     assert_eq!(status.state, JobState::Done);
     let result = status.result.expect("done job carries a result");
-    let manifest = obj_get(&result, "manifest").expect("result embeds the run manifest");
+    let manifest = result.get("manifest").expect("result embeds the run manifest");
     assert_eq!(
-        obj_get(manifest, "ir.compile").and_then(Value::as_str),
+        manifest.get("ir.compile").and_then(Value::as_str),
         Some("1"),
         "the cold check compiled exactly once"
     );
@@ -143,7 +139,7 @@ fn concurrent_identical_checks_compile_exactly_once() {
     let status_resp = client::request(&addr, "GET", &format!("/v1/jobs/{job_id}"), None).unwrap();
     let status = JobStatus::parse(&status_resp.text()).unwrap();
     let result = status.result.expect("check job result");
-    let compiles = obj_get(&result, "compile_spans").and_then(Value::as_u64);
+    let compiles = result.get("compile_spans").and_then(Value::as_u64);
     assert_eq!(compiles, Some(1), "coalesced submissions share one ir.compile span");
 
     handle.shutdown().unwrap();
@@ -195,7 +191,7 @@ fn search_streams_progress_frames_and_metrics_stay_valid_midflight() {
     assert_eq!(status.state, JobState::Done);
     let result = status.result.expect("search result document");
     assert_eq!(
-        obj_get(&result, "optimal_depth").and_then(Value::as_u64),
+        result.get("optimal_depth").and_then(Value::as_u64),
         Some(3),
         "4 wires sort in depth 3"
     );
@@ -256,6 +252,23 @@ fn rejections_map_to_http_statuses() {
     let r = client::request(&addr, "POST", "/v1/check", Some(b"{nope")).unwrap();
     assert_eq!(r.status, 422);
 
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Two high surrogates in a row once underflowed the JSON decoder's
+/// pair arithmetic and panicked the connection worker. The body is a
+/// plain 422 now, and every worker of the pool keeps serving.
+#[test]
+fn unpaired_surrogates_are_a_422_not_a_dead_worker() {
+    let (handle, addr, root) = daemon("surrogate");
+    let body = br#"{"network":"\uD800\uD800"}"#;
+    for _ in 0..ServeConfig::default().conn_threads + 1 {
+        let r = client::request(&addr, "POST", "/v1/check", Some(body)).unwrap();
+        assert_eq!(r.status, 422, "{}", r.text());
+    }
+    let r = client::request(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(r.status, 200);
     handle.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -424,9 +437,9 @@ fn frame_traces_are_stable_across_miss_and_hit_deliveries() {
     let status_resp = client::request(&addr, "GET", &format!("/v1/jobs/{job_id}"), None).unwrap();
     let status = JobStatus::parse(&status_resp.text()).unwrap();
     let result = status.result.expect("check job result");
-    let manifest = obj_get(&result, "manifest").expect("result embeds the run manifest");
+    let manifest = result.get("manifest").expect("result embeds the run manifest");
     assert_eq!(
-        obj_get(manifest, "trace_id").and_then(Value::as_str),
+        manifest.get("trace_id").and_then(Value::as_str),
         Some(trace.as_str()),
         "the job manifest records the computing request's trace"
     );
