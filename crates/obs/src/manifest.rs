@@ -3,6 +3,7 @@
 
 use crate::event::{Event, EventKind};
 use serde::{Serialize, Value};
+use std::sync::OnceLock;
 
 /// Schema identifier stamped into every manifest; bump on breaking
 /// changes so stale result files are detectable.
@@ -40,6 +41,19 @@ pub struct RunManifest {
     pub extras: Vec<(String, String)>,
 }
 
+/// `git rev-parse HEAD` and `rustc -V`, each `unknown` when it fails,
+/// run once per process: the two subprocesses cost tens of milliseconds
+/// (`rustc` through the rustup shim), and a daemon captures a manifest
+/// for every cold check it answers.
+fn toolchain() -> &'static (String, String) {
+    static PROBE: OnceLock<(String, String)> = OnceLock::new();
+    PROBE.get_or_init(|| {
+        let git = command_line("git", &["rev-parse", "HEAD"]).unwrap_or_else(|| "unknown".into());
+        let rustc = command_line("rustc", &["-V"]).unwrap_or_else(|| "unknown".into());
+        (git, rustc)
+    })
+}
+
 fn command_line(bin: &str, args: &[&str]) -> Option<String> {
     let out = std::process::Command::new(bin).args(args).output().ok()?;
     if !out.status.success() {
@@ -55,15 +69,17 @@ fn command_line(bin: &str, args: &[&str]) -> Option<String> {
 
 impl RunManifest {
     /// Captures the manifest for `tool` from the current environment.
-    /// Never fails: unavailable fields degrade to `"unknown"`.
+    /// Never fails: unavailable fields degrade to `"unknown"`. The commit
+    /// and toolchain are probed on the first call only; every call
+    /// stamps its own `started_unix_ms`.
     pub fn capture(tool: &str) -> Self {
+        let (git_commit, rustc_version) = toolchain().clone();
         RunManifest {
             schema: MANIFEST_SCHEMA.to_string(),
             tool: tool.to_string(),
             args: std::env::args().skip(1).collect(),
-            git_commit: command_line("git", &["rev-parse", "HEAD"])
-                .unwrap_or_else(|| "unknown".into()),
-            rustc_version: command_line("rustc", &["-V"]).unwrap_or_else(|| "unknown".into()),
+            git_commit,
+            rustc_version,
             available_parallelism: std::thread::available_parallelism()
                 .map(|p| p.get())
                 .unwrap_or(1),
@@ -159,6 +175,19 @@ mod tests {
         assert_eq!(back.kind, EventKind::Manifest);
         assert_eq!(back.attr("tool"), Some("unit-test"));
         assert_eq!(back.attr("schema"), Some(MANIFEST_SCHEMA));
+    }
+
+    #[test]
+    fn toolchain_is_probed_once_per_process() {
+        let first = RunManifest::capture("unit-test");
+        let start = std::time::Instant::now();
+        for _ in 0..50 {
+            let m = RunManifest::capture("unit-test");
+            assert_eq!(m.git_commit, first.git_commit);
+            assert_eq!(m.rustc_version, first.rustc_version);
+        }
+        let elapsed = start.elapsed();
+        assert!(elapsed < std::time::Duration::from_millis(50), "50 captures took {elapsed:?}");
     }
 
     #[test]

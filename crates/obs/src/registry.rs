@@ -150,6 +150,7 @@ fn help_for(dotted: &str) -> &'static str {
         "httpd.responses" => "HTTP responses the service sent",
         "httpd.rejected" => "HTTP requests refused as malformed or over limits",
         "httpd.connections" => "TCP connections the service accepted",
+        "httpd.accept_errors" => "Failed accepts the service kept serving through",
         "jobs.submitted" => "Service jobs created",
         "jobs.completed" => "Service jobs that finished with a result",
         "jobs.cancelled" => "Service jobs stopped before completion",

@@ -328,12 +328,13 @@ impl Job {
     }
 
     /// Moves the job to a terminal state, attaches the result/error,
-    /// emits the final lifecycle frame, and closes the stream.
-    fn finish(&self, state: JobState, result: Option<Value>, error: Option<String>) {
+    /// emits the final lifecycle frame, and closes the stream. Returns
+    /// whether this call made the transition.
+    fn finish(&self, state: JobState, result: Option<Value>, error: Option<String>) -> bool {
         debug_assert!(state.is_terminal());
         let mut r = self.record.lock().expect("job record poisoned");
         if r.state.is_terminal() {
-            return; // first terminal transition wins
+            return false; // first terminal transition wins
         }
         r.state = state;
         r.result = result;
@@ -348,6 +349,7 @@ impl Job {
             JobState::Failed => snet_obs::counter("jobs.failed", 1),
             _ => {}
         }
+        true
     }
 
     /// The job's current public status document.
@@ -366,6 +368,14 @@ impl Job {
     /// Current lifecycle state.
     pub fn state(&self) -> JobState {
         self.record.lock().expect("job record poisoned").state
+    }
+
+    /// Joins the job's thread, if it has one that is not yet joined.
+    fn join_thread(&self) {
+        let handle = self.record.lock().expect("job record poisoned").handle.take();
+        if let Some(h) = handle {
+            let _ = h.join();
+        }
     }
 
     /// Blocks until the job reaches a terminal state (test/drain helper).
@@ -420,11 +430,25 @@ impl InFlight {
 // The manager
 // ---------------------------------------------------------------------------
 
+/// Finished jobs kept for `GET /v1/jobs/{id}`; older ones are evicted
+/// oldest-first, and an evicted id answers 404 as an unknown one does.
+/// Live jobs are always kept.
+const FINISHED_JOBS_KEPT: usize = 256;
+
+/// Every live job, plus the most recent [`FINISHED_JOBS_KEPT`] finished
+/// ones.
+#[derive(Default)]
+struct JobTable {
+    by_id: HashMap<String, Arc<Job>>,
+    /// Ids of the finished jobs in `by_id`, oldest first.
+    finished: VecDeque<String>,
+}
+
 struct ManagerInner {
     cfg: JobsConfig,
     routes: Arc<Routes>,
     sink: SinkHandle,
-    jobs: Mutex<HashMap<String, Arc<Job>>>,
+    jobs: Mutex<JobTable>,
     in_flight: Mutex<HashMap<CanonicalHash, Arc<InFlight>>>,
     next_job: AtomicU64,
     draining: AtomicBool,
@@ -451,7 +475,7 @@ impl JobManager {
                 cfg,
                 routes,
                 sink,
-                jobs: Mutex::new(HashMap::new()),
+                jobs: Mutex::new(JobTable::default()),
                 in_flight: Mutex::new(HashMap::new()),
                 next_job: AtomicU64::new(0),
                 draining: AtomicBool::new(false),
@@ -472,14 +496,33 @@ impl JobManager {
         }
         let id = format!("job-{}", self.inner.next_job.fetch_add(1, Ordering::Relaxed));
         let job = Job::new(id.clone(), kind, ctx.trace_hex.clone());
-        self.inner.jobs.lock().expect("jobs map poisoned").insert(id, job.clone());
+        self.inner.jobs.lock().expect("jobs map poisoned").by_id.insert(id, job.clone());
         snet_obs::counter("jobs.submitted", 1);
         Ok(job)
     }
 
+    /// Finishes `job` (see [`Job::finish`]) and keeps it among the most
+    /// recent [`FINISHED_JOBS_KEPT`] finished jobs, evicting the oldest
+    /// and joining its thread, which has already finished its job.
+    fn finish(&self, job: &Job, state: JobState, result: Option<Value>, error: Option<String>) {
+        if !job.finish(state, result, error) {
+            return;
+        }
+        let evicted: Vec<Arc<Job>> = {
+            let mut guard = self.inner.jobs.lock().expect("jobs map poisoned");
+            let table = &mut *guard;
+            table.finished.push_back(job.id.clone());
+            let excess = table.finished.len().saturating_sub(FINISHED_JOBS_KEPT);
+            table.finished.drain(..excess).filter_map(|id| table.by_id.remove(&id)).collect()
+        };
+        for old in evicted {
+            old.join_thread();
+        }
+    }
+
     /// Looks up a job by id.
     pub fn job(&self, id: &str) -> Option<Arc<Job>> {
-        self.inner.jobs.lock().expect("jobs map poisoned").get(id).cloned()
+        self.inner.jobs.lock().expect("jobs map poisoned").by_id.get(id).cloned()
     }
 
     /// Fires a job's cancel token. Returns whether the id exists. The
@@ -598,7 +641,7 @@ impl JobManager {
             Ok(v) => v,
             Err(panic) => {
                 let msg = panic_message(panic);
-                job.finish(JobState::Failed, None, Some(msg.clone()));
+                self.finish(job, JobState::Failed, None, Some(msg.clone()));
                 return Err(msg);
             }
         };
@@ -611,7 +654,7 @@ impl JobManager {
             }
         }
         let result = self.check_result_value(job, hash, &verdict);
-        job.finish(JobState::Done, Some(result), None);
+        self.finish(job, JobState::Done, Some(result), None);
         Ok(body)
     }
 
@@ -718,7 +761,7 @@ impl JobManager {
             loop {
                 if job.cancel.is_cancelled() || self.inner.draining.load(Ordering::Acquire) {
                     drop(used);
-                    job.finish(JobState::Cancelled, None, None);
+                    self.finish(job, JobState::Cancelled, None, None);
                     return;
                 }
                 if *used < self.inner.cfg.max_jobs.max(1) {
@@ -739,10 +782,10 @@ impl JobManager {
                 let state = if out.cancelled { JobState::Cancelled } else { JobState::Done };
                 // A cancelled search still reports its partial totals and
                 // spill — the frontier it persisted is resumable.
-                job.finish(state, Some(search_result_value(&out)), None);
+                self.finish(job, state, Some(search_result_value(&out)), None);
             }
             Err(panic) => {
-                job.finish(JobState::Failed, None, Some(panic_message(panic)));
+                self.finish(job, JobState::Failed, None, Some(panic_message(panic)));
             }
         }
         let mut used = self.inner.slots.lock().expect("slot pool poisoned");
@@ -849,17 +892,14 @@ impl JobManager {
         }
         self.inner.slot_cv.notify_all();
         let jobs: Vec<Arc<Job>> = {
-            let map = self.inner.jobs.lock().expect("jobs map poisoned");
-            map.values().cloned().collect()
+            let table = self.inner.jobs.lock().expect("jobs map poisoned");
+            table.by_id.values().cloned().collect()
         };
         for job in &jobs {
             job.cancel.cancel();
         }
         for job in &jobs {
-            let handle = job.record.lock().expect("job record poisoned").handle.take();
-            if let Some(h) = handle {
-                let _ = h.join();
-            }
+            job.join_thread();
         }
         snet_obs::remove_sink(self.inner.sink);
         snet_obs::flush();
@@ -898,5 +938,31 @@ fn panic_message(panic: Box<dyn std::any::Any + Send>) -> String {
         s.clone()
     } else {
         "job panicked".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use snet_core::element::Element;
+    use snet_core::network::Level;
+
+    #[test]
+    fn finished_jobs_are_evicted_oldest_first() {
+        let manager = JobManager::new(JobsConfig::default());
+        let net = ComparatorNetwork::new(2, vec![Level::of_elements(vec![Element::cmp(0, 1)])])
+            .expect("one comparator on two wires");
+        // Without a store every check is a leading miss with a job of its own.
+        let ids: Vec<String> = (0..=FINISHED_JOBS_KEPT)
+            .map(|_| {
+                let answer = manager.check(&net, &RequestCtx::default()).expect("check answers");
+                answer.job.expect("a miss runs a job")
+            })
+            .collect();
+        assert!(manager.job(&ids[0]).is_none(), "the oldest finished job is evicted");
+        assert!(manager.job(&ids[1]).is_some(), "the next one is kept");
+        let last = manager.job(ids.last().unwrap()).expect("the newest job is kept");
+        assert_eq!(last.state(), JobState::Done);
+        manager.shutdown();
     }
 }

@@ -42,7 +42,5 @@ pub mod telemetry;
 
 pub use http::Limits;
 pub use jobs::{ApiError, CheckAnswer, FramePoll, Job, JobManager, JobsConfig};
-pub use server::{
-    install_signal_handlers, request_shutdown, serve, spawn, ServeConfig, ServerHandle, SERVE_FLAGS,
-};
+pub use server::{install_signal_handlers, serve, spawn, ServeConfig, ServerHandle, SERVE_FLAGS};
 pub use telemetry::{RequestCtx, TraceCapture, LINK_HEADER};

@@ -19,13 +19,16 @@
 //!
 //! ## Shutdown
 //!
-//! `SIGTERM`/`SIGINT` set a process-global flag (the handler does
-//! nothing else — it is async-signal-safe). The accept loop notices
-//! within one poll interval and stops accepting; the job manager drains
-//! (cancelling live jobs, which still spill their search frontiers to
-//! the store); connection workers finish their current exchange and
-//! exit; buffered observations flush. A drained exit is *clean*: the
-//! flight recorder writes nothing.
+//! The accept loop blocks in `accept`. A drain sets the server's stop
+//! flag, then wakes the loop by connecting to the listener's own
+//! address; the loop drops that connection uncounted and stops
+//! accepting. `SIGTERM`/`SIGINT` set a process-global flag (the handler
+//! does nothing else — it is async-signal-safe): [`serve`] runs the loop
+//! on a thread of its own and drains through the same handle once the
+//! flag is up. The job manager then drains (cancelling live jobs, which
+//! still spill their search frontiers to the store); connection workers
+//! finish their current exchange and exit; buffered observations flush.
+//! A drained exit is *clean*: the flight recorder writes nothing.
 
 use crate::http::{
     read_request, write_response, ChunkedWriter, HttpError, Limits, ReadOutcome, Request,
@@ -41,7 +44,7 @@ use snet_obs::json::obj;
 use snet_obs::tracectx::TraceContext;
 use snet_store::ArtifactStore;
 use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicI64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -51,8 +54,22 @@ const JSON: &str = "application/json";
 const NDJSON: &str = "application/x-ndjson";
 
 /// How long a blocked socket read waits before the worker re-checks the
-/// shutdown flag; also bounds how stale an idle keep-alive poll can be.
+/// stop flag. Only a worker holding an idle keep-alive connection waits
+/// it out, so it bounds how long a drain waits for idle peers.
 const READ_TIMEOUT: Duration = Duration::from_millis(500);
+
+/// How often [`serve`]'s calling thread looks for a signal. That thread
+/// only waits to drain, so this wait is on no request's path.
+const SIGNAL_POLL: Duration = Duration::from_millis(50);
+
+/// The pause after `accept` fails for want of file descriptors: the
+/// pending connection stays queued, so retrying at once fails again.
+const FD_EXHAUSTED_BACKOFF: Duration = Duration::from_millis(10);
+
+/// `ENFILE` and `EMFILE` (the same on every Unix); `std` gives both an
+/// uncategorized error kind.
+const ENFILE: i32 = 23;
+const EMFILE: i32 = 24;
 
 // ---------------------------------------------------------------------------
 // Signals, without libc: the two handlers the daemon needs, installed
@@ -73,26 +90,15 @@ extern "C" fn on_signal(_signum: i32) {
     SHUTDOWN.store(true, Ordering::Relaxed);
 }
 
-/// Installs the SIGTERM/SIGINT handlers that request a graceful drain.
+/// Installs the SIGTERM/SIGINT handlers that make [`serve`] drain and
+/// return. Servers started with [`spawn`] drain only through their
+/// [`ServerHandle`], so parallel test harnesses don't tear each other
+/// down.
 pub fn install_signal_handlers() {
     unsafe {
         signal(SIGTERM, on_signal as *const () as usize);
         signal(SIGINT, on_signal as *const () as usize);
     }
-}
-
-/// Requests a process-wide drain programmatically (what the signal
-/// handlers do). In-process servers prefer [`ServerHandle::shutdown`],
-/// which drains only that server.
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::Relaxed);
-}
-
-/// A signal or [`request_shutdown`] drains every server in the process;
-/// a [`ServerHandle`]'s own stop flag drains just it (so parallel test
-/// harnesses don't tear each other down).
-fn stopping(stop: &AtomicBool) -> bool {
-    stop.load(Ordering::Relaxed) || SHUTDOWN.load(Ordering::Relaxed)
 }
 
 // ---------------------------------------------------------------------------
@@ -186,27 +192,40 @@ impl ServeConfig {
 pub struct ServerHandle {
     /// The actual bound address (resolves `:0`).
     pub addr: SocketAddr,
+    /// Stored with `Release` before the wake connection is made; the
+    /// accept loop loads it with `Acquire` once `accept` returns.
     stop: Arc<AtomicBool>,
     thread: std::thread::JoinHandle<std::io::Result<()>>,
 }
 
 impl ServerHandle {
-    /// Requests a graceful drain of this server only and waits for it.
+    /// Drains this server only and waits for it: sets the stop flag,
+    /// then connects to the listener so the loop blocked in `accept`
+    /// wakes up and sees it. Returns the loop's error if its listener
+    /// failed.
     pub fn shutdown(self) -> std::io::Result<()> {
-        self.stop.store(true, Ordering::Relaxed);
-        self.join()
-    }
-
-    /// Waits for the serve loop to drain and exit.
-    pub fn join(self) -> std::io::Result<()> {
+        self.stop.store(true, Ordering::Release);
+        // A refused connect means the loop has already exited; a loop
+        // backing off after an accept error checks the flag itself.
+        let _ = TcpStream::connect(wake_addr(self.addr));
         self.thread.join().unwrap_or_else(|_| Err(std::io::Error::other("serve loop panicked")))
     }
 }
 
+/// Where a drain connects to wake the accept loop: the bound address,
+/// with loopback in place of an unspecified IP (`0.0.0.0`, `::`).
+fn wake_addr(mut addr: SocketAddr) -> SocketAddr {
+    if addr.ip().is_unspecified() {
+        let loopback: IpAddr =
+            if addr.is_ipv4() { Ipv4Addr::LOCALHOST.into() } else { Ipv6Addr::LOCALHOST.into() };
+        addr.set_ip(loopback);
+    }
+    addr
+}
+
 /// Binds and spawns the serve loop on a background thread, returning
-/// once the listener is live. The loop exits on
-/// [`ServerHandle::shutdown`], [`request_shutdown`], or a signal (when
-/// handlers are installed).
+/// once the listener is live. The loop runs until
+/// [`ServerHandle::shutdown`], or until its listener fails.
 pub fn spawn(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
@@ -218,12 +237,18 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<ServerHandle> {
     Ok(ServerHandle { addr, stop, thread })
 }
 
-/// Binds and runs the serve loop on the calling thread (the binary's
-/// entry point); only a signal (or [`request_shutdown`]) ends it.
+/// Binds and serves until SIGTERM or SIGINT (see
+/// [`install_signal_handlers`]), then drains: the binaries' entry point.
+/// The loop runs as under [`spawn`]; the calling thread waits for the
+/// signal and drains through the same handle. A listener failure ends
+/// the wait early and is returned.
 pub fn serve(cfg: ServeConfig) -> std::io::Result<()> {
-    let listener = TcpListener::bind(&cfg.addr)?;
-    eprintln!("snetd: listening on {}", listener.local_addr()?);
-    serve_on(listener, cfg, Arc::new(AtomicBool::new(false)))
+    let handle = spawn(cfg)?;
+    eprintln!("snetd: listening on {}", handle.addr);
+    while !SHUTDOWN.load(Ordering::Relaxed) && !handle.thread.is_finished() {
+        std::thread::sleep(SIGNAL_POLL);
+    }
+    handle.shutdown()
 }
 
 /// Service-wide telemetry shared by every connection worker.
@@ -283,24 +308,35 @@ fn serve_on(listener: TcpListener, cfg: ServeConfig, stop: Arc<AtomicBool>) -> s
         );
     }
 
-    listener.set_nonblocking(true)?;
-    while !stopping(&stop) {
+    let fatal = loop {
         match listener.accept() {
             Ok((stream, _peer)) => {
+                if stop.load(Ordering::Acquire) {
+                    break None; // the drain's wake connection, or a peer racing it
+                }
                 snet_obs::counter("httpd.connections", 1);
                 let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
                 let _ = stream.set_nodelay(true);
                 if tx.send(stream).is_err() {
-                    break;
+                    break None;
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(25));
+            // One peer's failure, or descriptors that open connections
+            // give back as they close: keep serving.
+            Err(e) if transient_accept_error(&e) => {
+                snet_obs::counter("httpd.accept_errors", 1);
+                if matches!(e.raw_os_error(), Some(EMFILE | ENFILE)) {
+                    std::thread::sleep(FD_EXHAUSTED_BACKOFF);
+                }
+                // The wake connection may be what could not be accepted.
+                if stop.load(Ordering::Acquire) {
+                    break None;
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
+            Err(e) => break Some(e),
         }
-    }
+    };
+    drop(listener); // refuse new connections while draining
 
     // Drain: reject new work and finish what is running (search jobs
     // observe their cancel tokens and spill their TT frontiers), then
@@ -313,7 +349,15 @@ fn serve_on(listener: TcpListener, cfg: ServeConfig, stop: Arc<AtomicBool>) -> s
     }
     snet_obs::remove_sink(capture_sink);
     snet_obs::flush();
-    Ok(())
+    fatal.map_or(Ok(()), Err)
+}
+
+/// Whether `accept` failed for one peer, or for want of descriptors,
+/// rather than because the listener itself is broken.
+fn transient_accept_error(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{ConnectionAborted, ConnectionReset};
+    matches!(e.kind(), ConnectionAborted | ConnectionReset)
+        || matches!(e.raw_os_error(), Some(EMFILE | ENFILE))
 }
 
 fn connection_worker(
@@ -328,19 +372,11 @@ fn connection_worker(
     // order (thread ordinals are first-emission order, not pool order).
     snet_obs::thread_lane(format!("http-worker-{index}"));
     loop {
-        let stream = {
-            let guard = rx.lock().expect("conn queue poisoned");
-            match guard.recv_timeout(Duration::from_millis(200)) {
-                Ok(s) => s,
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if stopping(&stop) {
-                        return;
-                    }
-                    continue;
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => return,
-            }
-        };
+        // The guard drops at the end of this statement, so the queue is
+        // locked only while waiting. The drain drops the sender, which
+        // ends the wait.
+        let next = rx.lock().expect("conn queue poisoned").recv();
+        let Ok(stream) = next else { return };
         serve_connection(stream, &manager, &limits, &stop, &telemetry);
     }
 }
@@ -372,7 +408,7 @@ fn serve_connection(
             }
             Ok(ReadOutcome::Eof) => return,
             Ok(ReadOutcome::Idle) => {
-                if stopping(stop) {
+                if stop.load(Ordering::Acquire) {
                     return;
                 }
             }
@@ -772,5 +808,18 @@ fn handle_job_delete(w: &mut impl Write, id: &str, manager: &JobManager, meta: &
     } else {
         let body = ErrorBody::new(format!("unknown job {id:?}")).to_json();
         respond(w, meta, 404, JSON, body.as_bytes(), &[]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::wake_addr;
+
+    #[test]
+    fn a_drain_wakes_an_unspecified_bind_through_loopback() {
+        let wake = |bound: &str| wake_addr(bound.parse().unwrap()).to_string();
+        assert_eq!(wake("0.0.0.0:7421"), "127.0.0.1:7421");
+        assert_eq!(wake("[::]:7421"), "[::1]:7421");
+        assert_eq!(wake("10.1.2.3:7421"), "10.1.2.3:7421");
     }
 }

@@ -465,6 +465,34 @@ fn frame_traces_are_stable_across_miss_and_hit_deliveries() {
 }
 
 #[test]
+fn sequential_fresh_connections_are_answered_without_an_accept_poll() {
+    let (handle, addr, root) = daemon("fresh-conns");
+    let start = std::time::Instant::now();
+    for _ in 0..100 {
+        let resp = client::request(&addr, "GET", "/healthz", None).unwrap();
+        assert_eq!(resp.status, 200);
+    }
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "100 fresh-connection requests took {elapsed:?}");
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn shutdown_of_an_idle_daemon_is_prompt_and_closes_the_listener() {
+    let (handle, addr, root) = daemon("idle-drain");
+    let bound = handle.addr;
+    assert_eq!(client::request(&addr, "GET", "/healthz", None).unwrap().status, 200);
+    let start = std::time::Instant::now();
+    handle.shutdown().expect("drain completes cleanly");
+    let elapsed = start.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "idle drain took {elapsed:?}");
+    let err = std::net::TcpStream::connect(bound).expect_err("the listener is closed");
+    assert_eq!(err.kind(), std::io::ErrorKind::ConnectionRefused);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn drain_cancels_live_search_and_leaves_a_resumable_spill() {
     let (handle, addr, root) = daemon("drain");
     // Deep unrestricted n=8 search: runs long enough in a debug build
