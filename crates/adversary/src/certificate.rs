@@ -158,14 +158,6 @@ impl LowerBoundCertificate {
         Ok(())
     }
 
-    /// The certificate's witness as a content-addressed
-    /// [`snet_core::verdict::Verdict`] keyed by the network's canonical
-    /// hash — the store artifact `snetctl certify`/`audit` cache so a
-    /// re-audit of an unchanged network replays instead of re-checking.
-    pub fn to_verdict(&self) -> snet_core::verdict::Verdict {
-        self.refutation().to_verdict(&self.network)
-    }
-
     /// Upgrades the noncollision evidence to a proof by enumerating *all*
     /// refinements (`n ≤ 8` only).
     pub fn check_exhaustive(&self) -> Result<(), String> {

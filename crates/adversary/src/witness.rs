@@ -5,20 +5,22 @@
 //! same permutation on both, hence fails to sort at least one of them.
 //!
 //! The [`SortingRefutation`] is self-verifying: [`SortingRefutation::verify`]
-//! re-evaluates the *actual* network with an independent evaluator, so the
-//! adversary's bookkeeping cannot vouch for itself.
+//! re-evaluates the *actual* network with the reference interpreter, not the
+//! compiled IR [`refute`] evaluated it with, so the adversary's bookkeeping
+//! cannot vouch for itself.
 
+use serde::{Deserialize, Serialize};
 use snet_core::element::WireId;
 use snet_core::ir::Executor;
 use snet_core::network::ComparatorNetwork;
 use snet_core::sortcheck::is_sorted;
-use snet_core::trace::ComparisonTrace;
 use snet_core::verdict::{Verdict, VerdictKind};
 use snet_pattern::pattern::Pattern;
 use snet_pattern::symbol::Symbol;
 
 /// A machine-checkable proof that a network is not a sorting network.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Its JSON form is the witness file `snetctl refute -o` writes.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SortingRefutation {
     /// First witness input `π`.
     pub input_a: Vec<u32>,
@@ -82,6 +84,9 @@ impl SortingRefutation {
         if self.input_a.len() != n || self.input_b.len() != n {
             return Err("input width mismatch".into());
         }
+        if w0 as usize >= n || w1 as usize >= n {
+            return Err("wire_pair is out of range".into());
+        }
         // 1. Permutation + adjacent-transposition relation.
         let mut sorted = self.input_a.clone();
         sorted.sort_unstable();
@@ -103,14 +108,20 @@ impl SortingRefutation {
                 return Err(format!("input_b differs from the transposition at wire {w}"));
             }
         }
-        // 2. Outputs reproduce. The compiled IR is a genuinely
-        // independent evaluator: a different code path from the
-        // interpreter the adversary used to record the outputs.
-        let compiled = Executor::compile(net);
-        if compiled.evaluate(&self.input_a) != self.output_a {
+        // 2. Outputs reproduce under the reference interpreter, a code
+        // path independent of the compiled IR `refute` produced them with
+        // (the designated verifier exception to the migration rule,
+        // DESIGN §6). The pass over `input_a` also records whether the
+        // values `m` and `m+1` meet a comparator, for step 4.
+        let pair = (self.m, self.m + 1);
+        let mut met = false;
+        let output_a = net.evaluate_traced(&self.input_a, |ev| {
+            met |= (ev.va.min(ev.vb), ev.va.max(ev.vb)) == pair;
+        });
+        if output_a != self.output_a {
             return Err("stored output_a does not match re-evaluation".into());
         }
-        if compiled.evaluate(&self.input_b) != self.output_b {
+        if net.evaluate(&self.input_b) != self.output_b {
             return Err("stored output_b does not match re-evaluation".into());
         }
         // 3. Same permutation performed.
@@ -132,8 +143,7 @@ impl SortingRefutation {
             }
         }
         // 4. The adjacent values never met a comparator.
-        let trace = ComparisonTrace::record(net, &self.input_a);
-        if trace.compared(self.m, self.m + 1) {
+        if met {
             return Err(format!("values {} and {} were compared", self.m, self.m + 1));
         }
         // 5. Refutation.
@@ -156,19 +166,47 @@ impl SortingRefutation {
     /// keyed by `net`'s canonical hash — the artifact the `snet-store`
     /// cache replays instead of re-running the adversary.
     pub fn to_verdict(&self, net: &ComparatorNetwork) -> Verdict {
-        Verdict::with_kind(
-            snet_core::ir::CanonicalHash::of_network(net),
-            net.wires() as u32,
-            VerdictKind::AdversaryWitness {
-                input_a: self.input_a.clone(),
-                input_b: self.input_b.clone(),
-                m: self.m,
-                wire_a: self.wire_pair.0,
-                wire_b: self.wire_pair.1,
-                output_a: self.output_a.clone(),
-                output_b: self.output_b.clone(),
-            },
-        )
+        let hash = snet_core::ir::CanonicalHash::of_network(net);
+        Verdict::with_kind(hash, net.wires() as u32, self.verdict_kind())
+    }
+
+    /// The [`VerdictKind::AdversaryWitness`] this refutation is stored as.
+    pub fn verdict_kind(&self) -> VerdictKind {
+        VerdictKind::AdversaryWitness {
+            input_a: self.input_a.clone(),
+            input_b: self.input_b.clone(),
+            m: self.m,
+            wire_a: self.wire_pair.0,
+            wire_b: self.wire_pair.1,
+            output_a: self.output_a.clone(),
+            output_b: self.output_b.clone(),
+        }
+    }
+
+    /// Reads a stored witness verdict back (`None` for the other kinds).
+    /// What comes back is a claim: [`verify`](Self::verify) it before
+    /// trusting it.
+    pub fn from_verdict(verdict: &Verdict) -> Option<SortingRefutation> {
+        let VerdictKind::AdversaryWitness {
+            input_a,
+            input_b,
+            m,
+            wire_a,
+            wire_b,
+            output_a,
+            output_b,
+        } = verdict.kind.clone()
+        else {
+            return None;
+        };
+        Some(SortingRefutation {
+            input_a,
+            input_b,
+            m,
+            wire_pair: (wire_a, wire_b),
+            output_a,
+            output_b,
+        })
     }
 }
 
@@ -416,6 +454,11 @@ mod tests {
         let mut bad3 = good.clone();
         bad3.m += 1;
         assert!(bad3.verify(&net).is_err());
+
+        // A wire past the network's width is rejected, not indexed.
+        let mut bad4 = good.clone();
+        bad4.wire_pair.1 = 99;
+        assert!(bad4.verify(&net).is_err());
     }
 
     #[test]
@@ -488,6 +531,30 @@ mod tests {
         let p = Pattern::uniform(40, Symbol::M(0));
         let class = IndistinguishableClass::from_pattern(&p);
         assert_eq!(class.size(), u128::MAX);
+    }
+
+    #[test]
+    fn verify_evaluates_with_the_interpreter_not_the_compiled_ir() {
+        let ird = butterfly_ird(1, 4);
+        let out = theorem41(&ird, 4);
+        let net = ird.to_network();
+        let r = refute(&net, &out.input_pattern).unwrap();
+        let me = snet_obs::thread_ordinal();
+        let events = snet_obs::test_capture(|| r.verify(&net).unwrap());
+        let names: Vec<&str> =
+            events.iter().filter(|e| e.thread == me).map(|e| e.name.as_str()).collect();
+        assert!(names.contains(&"adversary.verify_witness"), "the capture saw verify: {names:?}");
+        assert!(!names.contains(&"ir.compile"), "verify must not compile: {names:?}");
+    }
+
+    #[test]
+    fn verdict_roundtrip_preserves_the_refutation() {
+        let ird = butterfly_ird(1, 3);
+        let net = ird.to_network();
+        let r = refute(&net, &theorem41(&ird, 3).input_pattern).unwrap();
+        assert_eq!(SortingRefutation::from_verdict(&r.to_verdict(&net)), Some(r));
+        let sorts = snet_core::verdict::verdict_zero_one_exhaustive(&net);
+        assert_eq!(SortingRefutation::from_verdict(&sorts), None);
     }
 
     #[test]

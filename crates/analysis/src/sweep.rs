@@ -3,10 +3,11 @@
 //! Experiments are embarrassingly parallel over (parameter point, seed)
 //! pairs; this driver fans the points out over crossbeam scoped threads and
 //! returns results in input order regardless of completion order. Each
-//! worker owns its state; the only shared structure is a `parking_lot`
-//! mutex around the next-index counter and the result slots.
+//! worker owns its state; the only shared structure is a mutex around
+//! the next-index counter and the result slots. Locks ignore poison, so
+//! one panicking worker does not take the others down with it.
 
-use parking_lot::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Runs `f` over `points` using up to `threads` OS threads, returning the
 /// results in input order. `f` must be deterministic per point for the
@@ -25,7 +26,7 @@ where
         for _ in 0..threads {
             s.spawn(|_| loop {
                 let i = {
-                    let mut guard = next.lock();
+                    let mut guard = next.lock().unwrap_or_else(PoisonError::into_inner);
                     let i = *guard;
                     if i >= n {
                         break;
@@ -34,12 +35,13 @@ where
                     i
                 };
                 let r = f(&points[i]);
-                *slots[i].lock() = Some(r);
+                *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(r);
             });
         }
     })
     .expect("sweep workers must not panic");
-    slots.into_iter().map(|slot| slot.into_inner().expect("every slot filled")).collect()
+    let filled = |slot: Mutex<Option<R>>| slot.into_inner().ok().flatten();
+    slots.into_iter().map(|slot| filled(slot).expect("every slot filled")).collect()
 }
 
 /// Number of worker threads to use by default: the available parallelism,

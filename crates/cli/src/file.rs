@@ -85,48 +85,3 @@ impl NetworkFile {
         std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))
     }
 }
-
-/// A stored refutation: the witness pair plus metadata, re-verifiable with
-/// `snetctl verify`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WitnessFile {
-    /// First witness input.
-    pub input_a: Vec<u32>,
-    /// Second witness input (adjacent transposition of the first).
-    pub input_b: Vec<u32>,
-    /// The smaller exchanged value.
-    pub m: u32,
-    /// The wires carrying `m`, `m+1` in `input_a`.
-    pub wire_pair: (u32, u32),
-    /// Stored network output on `input_a`.
-    pub output_a: Vec<u32>,
-    /// Stored network output on `input_b`.
-    pub output_b: Vec<u32>,
-}
-
-impl From<&snet_adversary::SortingRefutation> for WitnessFile {
-    fn from(r: &snet_adversary::SortingRefutation) -> Self {
-        WitnessFile {
-            input_a: r.input_a.clone(),
-            input_b: r.input_b.clone(),
-            m: r.m,
-            wire_pair: r.wire_pair,
-            output_a: r.output_a.clone(),
-            output_b: r.output_b.clone(),
-        }
-    }
-}
-
-impl WitnessFile {
-    /// Converts back to the self-verifying refutation type.
-    pub fn to_refutation(&self) -> snet_adversary::SortingRefutation {
-        snet_adversary::SortingRefutation {
-            input_a: self.input_a.clone(),
-            input_b: self.input_b.clone(),
-            m: self.m,
-            wire_pair: self.wire_pair,
-            output_a: self.output_a.clone(),
-            output_b: self.output_b.clone(),
-        }
-    }
-}

@@ -23,13 +23,14 @@ mod file;
 static GLOBAL: snet_obs::alloc::CountingAlloc = snet_obs::alloc::CountingAlloc;
 
 use exit::exit_flushed;
-use file::{NetworkFile, WitnessFile};
+use file::NetworkFile;
 use rand::SeedableRng;
-use snet_adversary::{refute, theorem41};
-use snet_core::ir::{default_engine_threads, Executor, PassManager};
+use snet_adversary::SortingRefutation;
+use snet_core::ir::{default_engine_threads, CanonicalHash, Executor, PassManager};
 use snet_core::perm::Permutation;
 use snet_core::sortcheck::{check_random_permutations, is_sorted};
 use snet_runtime::{BalancerModel, CountingNetwork, Explorer, Layout};
+use snet_service::verdicts::{self, Served};
 use snet_sorters::{
     bitonic_shuffle, brick_wall, odd_even_mergesort, periodic_balanced, pratt_network,
 };
@@ -148,6 +149,15 @@ fn take_flag_value(args: &mut Vec<String>, name: &str) -> Result<Option<String>,
     let value = args.remove(i + 1);
     args.remove(i);
     Ok(Some(value))
+}
+
+/// A verdict the store could not keep fails the command; the daemon
+/// only logs it.
+fn stored(served: Served) -> Result<Served, String> {
+    match &served.write_error {
+        Some(e) => Err(format!("cannot write verdict to store: {e}")),
+        None => Ok(served),
+    }
 }
 
 /// Resolves the artifact store a verdict-producing command should use:
@@ -366,23 +376,16 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
             None => default_engine_threads(),
         };
         let store = resolve_store(args)?;
-        let exec = compile(&net);
-        // The canonical hash is the cache key: `of_program`
-        // re-canonicalizes, so the raw (`--no-passes`) and canonical
-        // compilations of one circuit share an address — and the same
-        // exhaustive verdict.
-        let hash = snet_core::ir::CanonicalHash::of_program(exec.program());
-        let (verdict, bytes, hit) = match store.as_ref().and_then(|s| s.get_verdict(&hash)) {
-            Some((verdict, bytes)) => (verdict, bytes, true),
+        // The canonical hash is the cache key, whatever the passes: the
+        // raw (`--no-passes`) and canonical compilations of one circuit
+        // share an address — and the same exhaustive verdict.
+        let hash = CanonicalHash::of_network(&net);
+        let (served, hit) = match verdicts::lookup_check(store.as_ref(), &net, &hash) {
+            Some(served) => (served, true),
             None => {
-                let verdict = snet_core::verdict::verdict_zero_one(&exec, threads);
-                let bytes = verdict.to_json().into_bytes();
-                if let Some(store) = &store {
-                    store
-                        .put_verdict(&verdict)
-                        .map_err(|e| format!("cannot write verdict to store: {e}"))?;
-                }
-                (verdict, bytes, false)
+                let computed =
+                    verdicts::compute_check(store.as_ref(), &net, &hash, compile, threads);
+                (stored(computed)?, false)
             }
         };
         if store.is_some() {
@@ -397,10 +400,10 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         if let Some(out) = flag(args, "--verdict-out") {
             // The stored bytes verbatim: a warm hit re-emits the cold
             // run's artifact byte for byte.
-            std::fs::write(out, &bytes).map_err(|e| format!("{out}: {e}"))?;
+            std::fs::write(out, &served.bytes).map_err(|e| format!("{out}: {e}"))?;
             println!("verdict written to {out}");
         }
-        return match &verdict.kind {
+        return match &served.verdict.kind {
             snet_core::verdict::VerdictKind::SortCertificate { tested } => {
                 println!("sorted all {tested} tested inputs");
                 Ok(())
@@ -414,7 +417,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
             snet_core::verdict::VerdictKind::AdversaryWitness { .. } => {
                 // An adversary verdict proves non-sorting but carries no
                 // 0-1 counterexample; surface it the same way.
-                println!("NOT a sorting network ({})", verdict.summary());
+                println!("NOT a sorting network ({})", served.verdict.summary());
                 exit_flushed(exit::CHECK_COUNTEREXAMPLE);
             }
         };
@@ -467,58 +470,32 @@ fn cmd_refute(args: &[String]) -> Result<(), String> {
     let k: usize = parse(flag(args, "--k").unwrap_or(&l.to_string()), "--k")?;
     let net = ird.to_network();
     let store = resolve_store(args)?;
-    let hash = snet_core::ir::CanonicalHash::of_network(&net);
-    // A cached adversary witness for this canonical form replays without
-    // re-running the adversary; it is still independently re-verified
-    // below, so a stale or forged store entry cannot vouch for itself.
-    let cached = store.as_ref().and_then(|s| s.get_verdict(&hash)).and_then(|(v, _)| {
-        use snet_core::verdict::VerdictKind;
-        match v.kind {
-            VerdictKind::AdversaryWitness {
-                input_a,
-                input_b,
-                m,
-                wire_a,
-                wire_b,
-                output_a,
-                output_b,
-            } => Some(snet_adversary::SortingRefutation {
-                input_a,
-                input_b,
-                m,
-                wire_pair: (wire_a, wire_b),
-                output_a,
-                output_b,
-            }),
-            _ => None,
-        }
-    });
-    let r = match cached {
-        Some(r) => {
+    let hash = CanonicalHash::of_network(&net);
+    // A stored witness replays without re-running the adversary once it
+    // passes `verify`, so a stale or forged entry cannot vouch for itself.
+    let served = match verdicts::lookup_witness(store.as_ref(), &net, &hash) {
+        Some(served) => {
             println!("store: hit {hash} (replaying cached adversary witness)");
-            r
+            served
         }
         None => {
-            let out = theorem41(&ird, k);
+            let (run, witness) = verdicts::compute_witness(store.as_ref(), &net, &hash, k, || ird)?;
             if has_flag(args, "--explain") {
-                print!("{}", out.explain());
+                print!("{}", run.explain());
             }
-            println!("adversary: |D| = {} after {} blocks", out.d_set.len(), out.blocks.len());
-            if out.d_set.len() < 2 {
+            println!("adversary: |D| = {} after {} blocks", run.d_set.len(), run.blocks.len());
+            let Some(served) = witness else {
                 println!("no witness available at this depth (the network may sort).");
                 exit_flushed(exit::ADVERSARY_EXHAUSTED);
-            }
-            let r = refute(&net, &out.input_pattern).map_err(|e| e.to_string())?;
-            if let Some(store) = &store {
-                store
-                    .put_verdict(&r.to_verdict(&net))
-                    .map_err(|e| format!("cannot write witness verdict to store: {e}"))?;
+            };
+            let served = stored(served)?;
+            if store.is_some() {
                 println!("store: miss {hash} (witness verdict cached)");
             }
-            r
+            served
         }
     };
-    r.verify(&net).map_err(|e| format!("internal: witness failed verification: {e}"))?;
+    let r = SortingRefutation::from_verdict(&served.verdict).expect("a witness verdict");
     println!(
         "refuted: values {} and {} are never compared; witness pair differs on wires {:?}",
         r.m,
@@ -527,8 +504,7 @@ fn cmd_refute(args: &[String]) -> Result<(), String> {
     );
     println!("unsorted on input: {:?}", r.unsorted_witness());
     if let Some(out_path) = flag(args, "-o") {
-        let wf = WitnessFile::from(&r);
-        std::fs::write(out_path, serde_json::to_string_pretty(&wf).map_err(|e| e.to_string())?)
+        std::fs::write(out_path, serde_json::to_string_pretty(&r).map_err(|e| e.to_string())?)
             .map_err(|e| e.to_string())?;
         println!("witness written to {out_path}");
     }
@@ -546,13 +522,12 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
         None => doc.to_network(),
     };
     let text = std::fs::read_to_string(wit_path).map_err(|e| e.to_string())?;
-    let wf: WitnessFile = serde_json::from_str(&text).map_err(|e| e.to_string())?;
-    let r = wf.to_refutation();
+    let r: SortingRefutation = serde_json::from_str(&text).map_err(|e| e.to_string())?;
     r.verify(&net).map_err(|e| format!("witness REJECTED: {e}"))?;
     println!("witness verified: the network maps both inputs to the same permutation");
-    let exec = Executor::compile(&net);
-    println!("output on π  sorted: {}", is_sorted(&exec.evaluate(&r.input_a)));
-    println!("output on π′ sorted: {}", is_sorted(&exec.evaluate(&r.input_b)));
+    // `verify` re-evaluated both stored outputs.
+    println!("output on π  sorted: {}", is_sorted(&r.output_a));
+    println!("output on π′ sorted: {}", is_sorted(&r.output_b));
     Ok(())
 }
 
@@ -615,9 +590,7 @@ fn cmd_search(args: &[String]) -> Result<(), String> {
         if let (Some(store), Some(v)) = (&cfg.store, &outcome.verdict) {
             // The witness's exhaustive verdict is content-addressed, so a
             // later `check` of the found network is a cache hit.
-            store
-                .put_verdict(v)
-                .map_err(|e| format!("cannot write witness verdict to store: {e}"))?;
+            stored(verdicts::persist(Some(store), v.clone()))?;
             println!("store: witness verdict cached under {}", v.hash);
         }
         if snet_obs::enabled() {
@@ -1451,19 +1424,18 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
     let ird = doc.as_ird().ok_or("certify needs a shuffle-based or IRD file")?;
     let l = ird.wires().trailing_zeros() as usize;
     let k: usize = parse(flag(args, "--k").unwrap_or(&l.to_string()), "--k")?;
-    let run = theorem41(&ird, k);
-    if run.d_set.len() < 2 {
+    let net = ird.to_network();
+    let store = resolve_store(args)?;
+    let hash = CanonicalHash::of_network(&net);
+    let (run, witness) = verdicts::compute_witness(store.as_ref(), &net, &hash, k, || ird)?;
+    let Some(served) = witness else {
         println!("adversary exhausted (|D| = {}): nothing to certify", run.d_set.len());
         exit_flushed(exit::ADVERSARY_EXHAUSTED);
-    }
-    let net = ird.to_network();
+    };
     let cert = LowerBoundCertificate::from_run(&net, &run)?;
-    if let Some(store) = resolve_store(args)? {
-        let verdict = cert.to_verdict();
-        store
-            .put_verdict(&verdict)
-            .map_err(|e| format!("cannot write witness verdict to store: {e}"))?;
-        println!("store: witness verdict cached under {}", verdict.hash);
+    if store.is_some() {
+        stored(served)?;
+        println!("store: witness verdict cached under {hash}");
     }
     std::fs::write(out_path, serde_json::to_string_pretty(&cert).map_err(|e| e.to_string())?)
         .map_err(|e| e.to_string())?;

@@ -1,10 +1,12 @@
 //! Wire schemas for the `snetd` query service.
 //!
 //! These are the request/response bodies the daemon speaks over HTTP and
-//! `snetctl query` consumes — they live next to [`Verdict`] because a
-//! service answer *is* a verdict plus cache provenance, and the byte
-//! contract is the same: field order is fixed, so a coalesced or warm
-//! response can be fanned out / replayed byte-identically.
+//! `snetctl query` consumes. A check or adversary answer is the
+//! [`Verdict`](crate::verdict::Verdict) document itself, its stored bytes
+//! verbatim, with the [`CacheState`] in an `x-snet-cache` header. The
+//! bodies here keep the same byte contract: field order is fixed, so a
+//! coalesced or warm response can be fanned out / replayed
+//! byte-identically.
 //!
 //! Everything here serializes through the same hand-written
 //! [`Serialize`]/[`Deserialize`] idiom as [`crate::verdict`]; the schema
@@ -18,7 +20,7 @@
 
 use crate::element::ElementKind;
 use crate::network::ComparatorNetwork;
-use crate::verdict::{field, Verdict};
+use crate::verdict::field;
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use snet_obs::json::obj;
 
@@ -90,59 +92,6 @@ impl Serialize for CheckRequest {
 impl Deserialize for CheckRequest {
     fn deserialize(v: &Value) -> Result<Self, SerdeError> {
         Ok(CheckRequest { network: ComparatorNetwork::deserialize(field(v, "network")?)? })
-    }
-}
-
-/// `POST /v1/check` / `POST /v1/adversary` response: the verdict plus
-/// where it came from.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CheckResponse {
-    /// Always [`API_SCHEMA`].
-    pub schema: String,
-    /// Cache provenance of this answer.
-    pub cache: CacheState,
-    /// The verdict itself ([`crate::verdict::VERDICT_SCHEMA`] inside).
-    pub verdict: Verdict,
-}
-
-impl CheckResponse {
-    /// Wraps a verdict with provenance under the current schema.
-    pub fn new(cache: CacheState, verdict: Verdict) -> CheckResponse {
-        CheckResponse { schema: API_SCHEMA.to_string(), cache, verdict }
-    }
-
-    /// Compact canonical JSON bytes (fixed field order).
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("check response serializes")
-    }
-
-    /// Parses [`CheckResponse::to_json`] output, rejecting foreign schemas.
-    pub fn parse(text: &str) -> Result<CheckResponse, String> {
-        let r: CheckResponse = serde_json::from_str(text).map_err(|e| e.to_string())?;
-        if r.schema != API_SCHEMA {
-            return Err(format!("unrecognized api schema {:?}", r.schema));
-        }
-        Ok(r)
-    }
-}
-
-impl Serialize for CheckResponse {
-    fn serialize(&self) -> Value {
-        obj(vec![
-            ("schema", self.schema.serialize()),
-            ("cache", self.cache.serialize()),
-            ("verdict", self.verdict.serialize()),
-        ])
-    }
-}
-
-impl Deserialize for CheckResponse {
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        Ok(CheckResponse {
-            schema: String::deserialize(field(v, "schema")?)?,
-            cache: CacheState::deserialize(field(v, "cache")?)?,
-            verdict: Verdict::deserialize(field(v, "verdict")?)?,
-        })
     }
 }
 
@@ -502,7 +451,6 @@ mod tests {
     use super::*;
     use crate::element::Element;
     use crate::network::Level;
-    use crate::verdict::verdict_zero_one_exhaustive;
 
     fn two_sorter() -> ComparatorNetwork {
         ComparatorNetwork::new(2, vec![Level::of_elements(vec![Element::cmp(0, 1)])]).unwrap()
@@ -514,18 +462,6 @@ mod tests {
         let json = serde_json::to_string(&req).unwrap();
         let back: CheckRequest = serde_json::from_str(&json).unwrap();
         assert_eq!(back, req);
-    }
-
-    #[test]
-    fn check_response_roundtrips_byte_identically() {
-        let resp = CheckResponse::new(CacheState::Hit, verdict_zero_one_exhaustive(&two_sorter()));
-        let json = resp.to_json();
-        let back = CheckResponse::parse(&json).unwrap();
-        assert_eq!(back, resp);
-        assert_eq!(back.to_json(), json, "serialization is byte-stable");
-        let mut foreign = resp.clone();
-        foreign.schema = "snet-api/999".into();
-        assert!(CheckResponse::parse(&foreign.to_json()).is_err());
     }
 
     #[test]

@@ -42,6 +42,7 @@ pub struct CanonicalHash([u8; 32]);
 impl CanonicalHash {
     /// The canonical hash of a network, lowered and canonicalized here.
     pub fn of_network(net: &ComparatorNetwork) -> CanonicalHash {
+        let _span = snet_obs::span("ir.hash");
         let mut prog = Program::from_network(net);
         PassManager::canonical().run(&mut prog);
         Self::of_canonical_program(&prog)
@@ -51,6 +52,7 @@ impl CanonicalHash {
     /// re-canonicalized first (the canonical passes are idempotent), so
     /// any pass history — including none — yields the same hash.
     pub fn of_program(prog: &Program) -> CanonicalHash {
+        let _span = snet_obs::span("ir.hash");
         let mut canon = prog.clone();
         PassManager::canonical().run(&mut canon);
         Self::of_canonical_program(&canon)

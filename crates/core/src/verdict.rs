@@ -101,22 +101,6 @@ fn process_manifest() -> &'static Vec<(String, String)> {
 }
 
 impl Verdict {
-    /// A sort certificate for `hash`, stamped with this process's manifest.
-    pub fn certificate(hash: CanonicalHash, wires: u32, tested: u64) -> Verdict {
-        Verdict::with_kind(hash, wires, VerdictKind::SortCertificate { tested })
-    }
-
-    /// A lowest-index counterexample verdict.
-    pub fn counterexample(
-        hash: CanonicalHash,
-        wires: u32,
-        index: u64,
-        input: Vec<u32>,
-        output: Vec<u32>,
-    ) -> Verdict {
-        Verdict::with_kind(hash, wires, VerdictKind::Counterexample { index, input, output })
-    }
-
     /// A verdict with an explicit kind, stamped with this process's
     /// manifest fields.
     pub fn with_kind(hash: CanonicalHash, wires: u32, kind: VerdictKind) -> Verdict {
@@ -127,6 +111,21 @@ impl Verdict {
             kind,
             manifest: process_manifest().clone(),
         }
+    }
+
+    /// Wraps an exhaustive check's outcome for `hash`: a sort
+    /// certificate, or the counterexample with its index in the `2ⁿ`
+    /// enumeration.
+    pub fn of_check(hash: CanonicalHash, wires: u32, check: SortCheck) -> Verdict {
+        let kind = match check {
+            SortCheck::AllSorted { tested } => VerdictKind::SortCertificate { tested },
+            SortCheck::Counterexample { input, output } => {
+                let index =
+                    input.iter().enumerate().fold(0, |acc, (w, &bit)| acc | (u64::from(bit) << w));
+                VerdictKind::Counterexample { index, input, output }
+            }
+        };
+        Verdict::with_kind(hash, wires, kind)
     }
 
     /// True iff this verdict certifies the network sorts.
@@ -185,16 +184,8 @@ impl Verdict {
 /// [`Executor::check_zero_one`]; the counterexample, when one exists, is
 /// the deterministic lowest failing index for any thread count.
 pub fn verdict_zero_one(exec: &Executor, threads: usize) -> Verdict {
-    let n = exec.wires();
     let hash = CanonicalHash::of_program(exec.program());
-    match exec.check_zero_one(threads) {
-        SortCheck::AllSorted { tested } => Verdict::certificate(hash, n as u32, tested),
-        SortCheck::Counterexample { input, output } => {
-            let index =
-                input.iter().enumerate().fold(0u64, |acc, (w, &bit)| acc | ((u64::from(bit)) << w));
-            Verdict::counterexample(hash, n as u32, index, input, output)
-        }
-    }
+    Verdict::of_check(hash, exec.wires() as u32, exec.check_zero_one(threads))
 }
 
 /// Compiles `net` and produces its exhaustive 0-1 [`Verdict`]

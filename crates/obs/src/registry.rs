@@ -109,7 +109,8 @@ fn help_for(dotted: &str) -> &'static str {
         "store.misses" => "Store lookups that fell through to recomputation",
         "store.bytes" => "Artifact bytes read from or written to the store",
         "store.writes" => "Artifacts written to the store",
-        "store.quarantined" => "Corrupt store entries moved aside",
+        "store.write_errors" => "Store writes that failed",
+        "store.quarantined" => "Store entries moved aside: damaged, or failed their re-check",
         "store.gc.removed" => "Entries removed by store garbage collection",
         "store.disk_bytes" => "On-disk size of the artifact store at last stat",
         "store.disk_entries" => "Entry count of the artifact store at last stat",

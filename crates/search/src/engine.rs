@@ -44,11 +44,10 @@
 //! must be kept out of any output that claims byte-stability.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
-use parking_lot::Mutex;
 use snet_adversary::DepthOracle;
 use snet_core::ir::Executor;
 use snet_core::network::{ComparatorNetwork, Level};
@@ -635,6 +634,8 @@ fn run_round(
 ) -> (Option<Vec<u32>>, SearchStats, RoundHists, Vec<WorkerBalance>) {
     let task_count = tasks.len();
     let best = AtomicUsize::new(usize::MAX);
+    // Locked without minding poison: a panicking worker then fails the
+    // round once, at the scope's join, not again in every other worker.
     let results: Mutex<Vec<Option<Vec<u32>>>> = Mutex::new(vec![None; task_count]);
     let stats = Mutex::new(SearchStats::default());
     let balances: Mutex<Vec<WorkerBalance>> = Mutex::new(Vec::with_capacity(threads));
@@ -699,7 +700,8 @@ fn run_round(
                             best.fetch_min(task.index, Ordering::SeqCst);
                             let mut ids = task.layer_ids.clone();
                             ids.extend(suffix);
-                            results.lock()[task.index] = Some(ids);
+                            results.lock().unwrap_or_else(PoisonError::into_inner)[task.index] =
+                                Some(ids);
                             worker.stats.tasks_run += 1;
                         }
                         Dfs::Unsat => worker.stats.tasks_run += 1,
@@ -711,14 +713,14 @@ fn run_round(
                 worker_span.add_attr("tasks", worker.stats.tasks_run);
                 worker_span.add_attr("steals", worker.stats.steals);
                 worker_span.add_attr("nodes", worker.stats.nodes);
-                balances.lock().push(WorkerBalance {
+                balances.lock().unwrap_or_else(PoisonError::into_inner).push(WorkerBalance {
                     worker: worker_index as u64,
                     tasks_run: worker.stats.tasks_run,
                     tasks_aborted: worker.stats.tasks_aborted,
                     steals: worker.stats.steals,
                     nodes: worker.stats.nodes,
                 });
-                stats.lock().absorb(&worker.stats);
+                stats.lock().unwrap_or_else(PoisonError::into_inner).absorb(&worker.stats);
             });
         }
     })
@@ -731,13 +733,13 @@ fn run_round(
         // Every task below `winner_index` ran to completion and was Unsat
         // (aborts require an even lower Sat index), so this is the
         // schedule-independent minimum.
-        results.lock()[winner_index].clone()
+        results.lock().unwrap_or_else(PoisonError::into_inner)[winner_index].clone()
     };
     let hists =
         RoundHists { task_nodes: task_nodes_hist.snapshot(), task_us: task_us_hist.snapshot() };
-    let mut workers = balances.into_inner();
+    let mut workers = balances.into_inner().unwrap_or_else(PoisonError::into_inner);
     workers.sort_by_key(|w| w.worker);
-    (winner, stats.into_inner(), hists, workers)
+    (winner, stats.into_inner().unwrap_or_else(PoisonError::into_inner), hists, workers)
 }
 
 /// Pops the next task: local deque first, then the injector (batching

@@ -16,9 +16,9 @@
 //! (existing entries still deepen). Dropping facts affects speed only,
 //! never soundness.
 
-use parking_lot::Mutex;
 use snet_obs::ShardedCounter;
 use std::collections::HashMap;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const SHARDS: usize = 64;
 
@@ -43,6 +43,12 @@ impl TransTable {
         }
     }
 
+    /// Locks shard `i`, ignoring poison: each critical section is one
+    /// map operation, so a worker that panicked left the map whole.
+    fn shard(&self, i: usize) -> MutexGuard<'_, HashMap<Box<[u64]>, u8>> {
+        self.shards[i].lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn shard_of(key: &[u64]) -> usize {
         // FNV-1a over the words; only shard selection, the map hashes again.
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -55,14 +61,14 @@ impl TransTable {
 
     /// The deepest budget `key` is known to fail, if any.
     pub fn failed_budget(&self, key: &[u64]) -> Option<u8> {
-        self.shards[Self::shard_of(key)].lock().get(key).copied()
+        self.shard(Self::shard_of(key)).get(key).copied()
     }
 
     /// Records that `key` fails every suffix of at most `budget` layers.
     /// Keeps the maximum of the old and new budgets; returns `true` if the
     /// table changed.
     pub fn record_failure(&self, key: &[u64], budget: u8) -> bool {
-        let mut shard = self.shards[Self::shard_of(key)].lock();
+        let mut shard = self.shard(Self::shard_of(key));
         if let Some(existing) = shard.get_mut(key) {
             if *existing < budget {
                 *existing = budget;
@@ -87,7 +93,7 @@ impl TransTable {
 
     /// Number of facts currently stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        (0..SHARDS).map(|i| self.shard(i).len()).sum()
     }
 
     /// Whether the table is empty.
@@ -100,8 +106,8 @@ impl TransTable {
     /// the table into the artifact store between runs.
     pub fn export(&self) -> Vec<(Vec<u64>, u8)> {
         let mut out: Vec<(Vec<u64>, u8)> = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            out.extend(shard.lock().iter().map(|(k, &b)| (k.to_vec(), b)));
+        for i in 0..SHARDS {
+            out.extend(self.shard(i).iter().map(|(k, &b)| (k.to_vec(), b)));
         }
         out.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         out

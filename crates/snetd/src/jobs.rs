@@ -1,6 +1,6 @@
 //! The job manager: query IDs, a bounded-concurrency scheduler,
-//! coalescing of identical in-flight checks, read-through/write-through
-//! store integration, and per-job progress capture.
+//! coalescing of identical in-flight checks, and per-job progress
+//! capture, around the verdict path both front ends share ([`verdicts`]).
 //!
 //! ## Coalescing
 //!
@@ -8,13 +8,18 @@
 //! computed *without* compiling (lower + canonical passes only, no
 //! `ir.compile` span). Three outcomes, in cost order:
 //!
-//! 1. **warm hit** — the store already holds a verdict for the hash; the
-//!    stored bytes are replayed verbatim, nothing is recompiled;
+//! 1. **warm hit** — the store holds a verdict for the hash that passes
+//!    its re-check; the stored bytes are replayed verbatim, nothing is
+//!    compiled;
 //! 2. **coalesced** — an identical request is already in flight; the
 //!    caller blocks on that job and receives the same bytes, so N
 //!    concurrent submissions of one canonical form compile exactly once;
-//! 3. **miss** — this request leads: it compiles (the only `ir.compile`
-//!    span), checks, persists, and fans the bytes out to any followers.
+//! 3. **miss** — this request leads: it reads the store a second time,
+//!    then compiles (the only `ir.compile` span), checks, persists, and
+//!    fans the bytes out to any followers.
+//!
+//! `/v1/adversary` requests neither coalesce nor record jobs: perfbench's
+//! count cross-check pins one store read per adversary miss.
 //!
 //! ## Progress capture
 //!
@@ -27,12 +32,13 @@
 //! never calls back into the obs API.
 
 use crate::telemetry::RequestCtx;
+use crate::verdicts::{self, Served};
 use serde::{Serialize, Value};
 use snet_core::api::{AdversaryRequest, ProgressFrame, SearchRequest};
 use snet_core::api::{CacheState, FrameKind, JobState, JobStatus, API_SCHEMA};
 use snet_core::ir::{CanonicalHash, Executor};
 use snet_core::network::ComparatorNetwork;
-use snet_core::verdict::{verdict_zero_one, Verdict};
+use snet_core::verdict::Verdict;
 use snet_obs::json::obj;
 use snet_obs::{Event, EventKind, RunManifest, Sink, SinkHandle};
 use snet_search::{search, CancelToken, SearchConfig, SearchMode, SearchOutcome};
@@ -103,6 +109,21 @@ pub struct CheckAnswer {
     /// this is the *leader's* trace: the server turns it into an
     /// `x-snet-link` header when it differs from the follower's own.
     pub trace: Option<String>,
+}
+
+impl CheckAnswer {
+    /// A warm hit: no job ran and nothing was computed.
+    fn hit(served: Served, hash: CanonicalHash) -> CheckAnswer {
+        CheckAnswer { cache: CacheState::Hit, body: served.bytes, job: None, hash, trace: None }
+    }
+}
+
+/// A failed store write costs the cache, not the answer: the store
+/// counted it in `store.write_errors`, and the daemon logs it.
+fn log_write_error(served: &Served) {
+    if let Some(e) = &served.write_error {
+        eprintln!("snetd: cannot write verdict {} to the store: {e}", served.verdict.hash);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -557,16 +578,8 @@ impl JobManager {
         // passes as the executor, so a warm entry keyed by a previous
         // compile is found here with no `ir.compile` span.
         let hash = CanonicalHash::of_network(net);
-        if let Some(store) = &self.inner.cfg.store {
-            if let Some((_, bytes)) = store.get_verdict(&hash) {
-                return Ok(CheckAnswer {
-                    cache: CacheState::Hit,
-                    body: bytes,
-                    job: None,
-                    hash,
-                    trace: None,
-                });
-            }
+        if let Some(hit) = verdicts::lookup_check(self.store(), net, &hash) {
+            return Ok(CheckAnswer::hit(hit, hash));
         }
 
         let (flight, leading) = {
@@ -592,18 +605,10 @@ impl JobManager {
         // (and written the store) between our store miss and our map
         // insert. Re-check before compiling so one canonical form never
         // compiles twice, no matter the interleaving.
-        if let Some(store) = &self.inner.cfg.store {
-            if let Some((_, bytes)) = store.get_verdict(&hash) {
-                self.inner.in_flight.lock().expect("in-flight map poisoned").remove(&hash);
-                flight.fill(Ok((bytes.clone(), None, None)));
-                return Ok(CheckAnswer {
-                    cache: CacheState::Hit,
-                    body: bytes,
-                    job: None,
-                    hash,
-                    trace: None,
-                });
-            }
+        if let Some(hit) = verdicts::lookup_check(self.store(), net, &hash) {
+            self.inner.in_flight.lock().expect("in-flight map poisoned").remove(&hash);
+            flight.fill(Ok((hit.bytes.clone(), None, None)));
+            return Ok(CheckAnswer::hit(hit, hash));
         }
 
         // Leader: run the compile + check inline on this thread under a
@@ -633,29 +638,22 @@ impl JobManager {
         let guard = RouteGuard::register(&self.inner.routes, &job.obs);
         let threads = self.inner.cfg.check_threads.max(1);
         let computed = catch_unwind(AssertUnwindSafe(|| {
-            let exec = Executor::compile(net); // the one `ir.compile` span
-            verdict_zero_one(&exec, threads)
+            // The one `ir.compile` span.
+            verdicts::compute_check(self.store(), net, hash, Executor::compile, threads)
         }));
         drop(guard);
-        let verdict: Verdict = match computed {
-            Ok(v) => v,
+        let served = match computed {
+            Ok(served) => served,
             Err(panic) => {
                 let msg = panic_message(panic);
                 self.finish(job, JobState::Failed, None, Some(msg.clone()));
                 return Err(msg);
             }
         };
-        debug_assert_eq!(&verdict.hash, hash, "of_network and of_program must agree");
-        let body = verdict.to_json().into_bytes();
-        if let Some(store) = &self.inner.cfg.store {
-            if let Err(e) = store.put_verdict(&verdict) {
-                // The answer is still good; only the cache write failed.
-                job.obs.push(FrameKind::Log { message: format!("store write failed: {e}") });
-            }
-        }
-        let result = self.check_result_value(job, hash, &verdict);
+        log_write_error(&served);
+        let result = self.check_result_value(job, hash, &served.verdict);
         self.finish(job, JobState::Done, Some(result), None);
-        Ok(body)
+        Ok(served.bytes)
     }
 
     /// The check job's result document: the verdict summary plus a run
@@ -797,9 +795,10 @@ impl JobManager {
 
     // -- /v1/adversary -----------------------------------------------------
 
-    /// Answers an adversary request inline: builds the shuffle network,
-    /// replays a cached witness verdict when the store has one, or runs
-    /// Theorem 4.1 and caches the refutation it finds.
+    /// Answers an adversary request inline: lowers the shuffle network,
+    /// replays a stored witness once it verifies, or runs Theorem 4.1
+    /// and stores the refutation it finds. Unlike checks, adversary
+    /// requests neither coalesce nor record jobs (see DESIGN §13).
     pub fn adversary(
         &self,
         req: &AdversaryRequest,
@@ -825,51 +824,30 @@ impl JobManager {
         }
         let l = n.trailing_zeros() as usize;
         let k = req.k.map(|k| k as usize).unwrap_or(l);
+        // The direct lowering hashes like the iterated reverse delta form
+        // (pinned in e2e_canonical_hash.rs), which only a miss builds.
         let shuffle = snet_topology::ShuffleNetwork::new(n, req.stages.clone());
-        let ird = shuffle.to_iterated_reverse_delta();
-        let net = ird.to_network();
+        let net = shuffle.to_network();
         let hash = CanonicalHash::of_network(&net);
-
-        // A cached adversary witness replays verbatim; like the CLI, a
-        // cached verdict of a different kind is ignored rather than
-        // misreported.
-        if let Some(store) = &self.inner.cfg.store {
-            if let Some((v, bytes)) = store.get_verdict(&hash) {
-                if matches!(v.kind, snet_core::verdict::VerdictKind::AdversaryWitness { .. }) {
-                    return Ok(CheckAnswer {
-                        cache: CacheState::Hit,
-                        body: bytes,
-                        job: None,
-                        hash,
-                        trace: None,
-                    });
-                }
-            }
+        if let Some(hit) = verdicts::lookup_witness(self.store(), &net, &hash) {
+            return Ok(CheckAnswer::hit(hit, hash));
         }
-
-        let out = snet_adversary::theorem41(&ird, k);
-        if out.d_set.len() < 2 {
+        let (run, witness) = verdicts::compute_witness(self.store(), &net, &hash, k, || {
+            shuffle.to_iterated_reverse_delta()
+        })
+        .map_err(|message| ApiError { status: 500, message })?;
+        let Some(served) = witness else {
             return Err(ApiError::unprocessable(format!(
                 "adversary exhausted: |D| = {} after {} blocks — no witness at this depth \
                  (the network may sort)",
-                out.d_set.len(),
-                out.blocks.len()
+                run.d_set.len(),
+                run.blocks.len()
             )));
-        }
-        let refutation = snet_adversary::refute(&net, &out.input_pattern)
-            .map_err(|e| ApiError { status: 500, message: format!("refute failed: {e:?}") })?;
-        refutation.verify(&net).map_err(|e| ApiError {
-            status: 500,
-            message: format!("internal: witness failed verification: {e}"),
-        })?;
-        let verdict = refutation.to_verdict(&net);
-        let body = verdict.to_json().into_bytes();
-        if let Some(store) = &self.inner.cfg.store {
-            let _ = store.put_verdict(&verdict);
-        }
+        };
+        log_write_error(&served);
         Ok(CheckAnswer {
             cache: CacheState::Miss,
-            body,
+            body: served.bytes,
             job: None,
             hash,
             trace: ctx.trace_hex.clone(),

@@ -18,11 +18,11 @@
 //! | `GET /healthz`        | liveness + drain state |
 //!
 //! The interesting machinery is in [`jobs`]: content-addressed request
-//! coalescing (N identical in-flight checks compile once), read-through/
-//! write-through [`snet_store`] caching (a warm hit replays the stored
-//! verdict bytes verbatim — responses are byte-identical across
-//! cold/warm/coalesced), and per-job progress capture routed from
-//! [`snet_obs`] events. [`server`] adds the bounded worker pool and the
+//! coalescing (N identical in-flight checks compile once) and per-job
+//! progress capture routed from [`snet_obs`] events, around the
+//! [`verdicts`] path `snetctl` shares: a warm hit replays the stored
+//! verdict bytes verbatim once their claim re-checks, so responses are
+//! byte-identical across cold/warm/coalesced. [`server`] adds the bounded worker pool and the
 //! SIGTERM graceful drain; [`http`] is the hand-rolled wire layer;
 //! [`client`] is the matching blocking client `snetctl query` uses.
 //!
@@ -39,6 +39,7 @@ pub mod http;
 pub mod jobs;
 pub mod server;
 pub mod telemetry;
+pub mod verdicts;
 
 pub use http::Limits;
 pub use jobs::{ApiError, CheckAnswer, FramePoll, Job, JobManager, JobsConfig};

@@ -39,7 +39,7 @@ use crate::telemetry::{
     LINK_HEADER,
 };
 use serde::Serialize;
-use snet_core::api::{AdversaryRequest, CheckRequest, ErrorBody, SearchRequest, API_SCHEMA};
+use snet_core::api::{CheckRequest, ErrorBody, SearchRequest, API_SCHEMA};
 use snet_obs::json::obj;
 use snet_obs::tracectx::TraceContext;
 use snet_store::ArtifactStore;
@@ -638,8 +638,12 @@ fn handle_request(
                 }
             }
         }
-        ("POST", "/v1/check") => handle_check(w, req, manager, ctx, meta),
-        ("POST", "/v1/adversary") => handle_adversary(w, req, manager, ctx, meta),
+        ("POST", "/v1/check") => {
+            handle_verdict(w, req, ctx, meta, |r: &CheckRequest| manager.check(&r.network, ctx))
+        }
+        ("POST", "/v1/adversary") => {
+            handle_verdict(w, req, ctx, meta, |r| manager.adversary(r, ctx))
+        }
         ("POST", "/v1/search") => handle_search(w, req, manager, ctx, meta),
         (method, p) if p.starts_with("/v1/jobs/") => {
             let id = &p["/v1/jobs/".len()..];
@@ -703,37 +707,21 @@ fn answer_with_verdict(
     respond(w, meta, 200, JSON, &answer.body, &extra);
 }
 
-fn handle_check(
+/// `/v1/check` and `/v1/adversary`: parses the body as `T` and answers
+/// with the verdict the job manager gives for it.
+fn handle_verdict<T: serde::Deserialize>(
     w: &mut impl Write,
     req: &Request,
-    manager: &JobManager,
     ctx: &RequestCtx,
     meta: &mut ReqMeta,
+    answer: impl FnOnce(&T) -> Result<CheckAnswer, ApiError>,
 ) {
-    let parsed: CheckRequest = match parse_body(req) {
-        Ok(p) => p,
-        Err(e) => return respond_error(w, meta, &e),
-    };
-    match manager.check(&parsed.network, ctx) {
-        Ok(answer) => answer_with_verdict(w, ctx, meta, &answer),
-        Err(e) => respond_api_error(w, meta, &e),
-    }
-}
-
-fn handle_adversary(
-    w: &mut impl Write,
-    req: &Request,
-    manager: &JobManager,
-    ctx: &RequestCtx,
-    meta: &mut ReqMeta,
-) {
-    let parsed: AdversaryRequest = match parse_body(req) {
-        Ok(p) => p,
-        Err(e) => return respond_error(w, meta, &e),
-    };
-    match manager.adversary(&parsed, ctx) {
-        Ok(answer) => answer_with_verdict(w, ctx, meta, &answer),
-        Err(e) => respond_api_error(w, meta, &e),
+    match parse_body(req) {
+        Ok(parsed) => match answer(&parsed) {
+            Ok(answer) => answer_with_verdict(w, ctx, meta, &answer),
+            Err(e) => respond_api_error(w, meta, &e),
+        },
+        Err(e) => respond_error(w, meta, &e),
     }
 }
 

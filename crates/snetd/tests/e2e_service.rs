@@ -225,6 +225,40 @@ fn adversary_witness_is_cached_and_replayed() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The `ir.compile` spans in a request's stored span tree, polling
+/// briefly: the trace store insert follows the response.
+fn compile_spans_of(addr: &str, trace: &str) -> usize {
+    for _ in 0..50 {
+        let r = client::request(addr, "GET", &format!("/v1/trace/{trace}"), None).unwrap();
+        if r.status == 200 {
+            let events = snet_obs::report::parse_events(&r.text()).expect("stored trace parses");
+            let compiles = events.iter().filter(|e| e.name == "ir.compile");
+            return compiles.filter(|e| e.kind == snet_obs::EventKind::SpanEnd).count();
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
+    panic!("trace {trace} never reached the trace store");
+}
+
+#[test]
+fn a_cold_adversary_request_compiles_once_and_a_warm_one_never() {
+    let (handle, addr, root) = daemon("adversary-compile");
+    let req = AdversaryRequest { n: 16, stages: vec![vec![ElementKind::Cmp; 8]; 4], k: None };
+    let body = serde_json::to_string(&req).unwrap();
+    for (i, (cache, compiles)) in [("miss", 1), ("hit", 0)].into_iter().enumerate() {
+        let (trace, header) = trace_header_for(0xad0 + i as u64);
+        let headers = [("x-snet-trace", header.as_str())];
+        let resp =
+            client::request_with(&addr, "POST", "/v1/adversary", Some(body.as_bytes()), &headers)
+                .unwrap();
+        assert_eq!(resp.status, 200);
+        assert_eq!(resp.header("x-snet-cache"), Some(cache));
+        assert_eq!(compile_spans_of(&addr, &trace), compiles, "{cache}: ir.compile spans");
+    }
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn rejections_map_to_http_statuses() {
     let (handle, addr, root) = daemon("reject");

@@ -263,16 +263,22 @@ impl ArtifactStore {
                     payload: payload.to_vec(),
                 })
             }
-            Err(reason) => {
+            Err(_) => {
                 drop(mapped); // unmap before renaming the file away
                 snet_obs::counter("store.misses", 1);
-                snet_obs::counter("store.quarantined", 1);
-                quarantine_file(&self.inner.root, &path);
-                snet_obs::gauge("store.last_quarantine", 1.0);
-                let _ = reason; // reported via counters; reads stay quiet
+                self.quarantine(hash); // reported via counters; reads stay quiet
                 None
             }
         }
+    }
+
+    /// Moves the entry under `hash` to `quarantine/`, counted under
+    /// `store.quarantined`: a damaged entry, or a claim that failed its
+    /// re-check.
+    pub fn quarantine(&self, hash: &CanonicalHash) {
+        snet_obs::counter("store.quarantined", 1);
+        quarantine_file(&self.inner.root, &self.entry_path(hash));
+        snet_obs::gauge("store.last_quarantine", 1.0);
     }
 
     /// Looks up a [`Verdict`] by canonical hash. Returns the parsed
@@ -292,6 +298,7 @@ impl ArtifactStore {
     /// Stores `payload` under `hash` with the given kind. Overwrites any
     /// existing entry (same hash ⇒ same content in practice; the rewrite
     /// refreshes the generation stamp). Crash-safe: temp file + rename.
+    /// A failed write is counted under `store.write_errors`.
     pub fn put(&self, hash: &CanonicalHash, kind: &str, payload: &[u8]) -> io::Result<PathBuf> {
         let _span = snet_obs::span("store.put");
         let path = self.entry_path(hash);
@@ -306,7 +313,8 @@ impl ArtifactStore {
         let mut bytes = Vec::with_capacity(header.len() + payload.len());
         bytes.extend_from_slice(header.as_bytes());
         bytes.extend_from_slice(payload);
-        write_atomically(&path, &bytes)?;
+        write_atomically(&path, &bytes)
+            .inspect_err(|_| snet_obs::counter("store.write_errors", 1))?;
         snet_obs::counter("store.writes", 1);
         snet_obs::counter("store.bytes", payload.len() as u64);
         Ok(path)

@@ -9,16 +9,20 @@
 //! * any relabeling within a level's orbit — element listing order,
 //!   `Cmp(a,b)` rewritten as `CmpRev(b,a)`, inserted `Pass` elements,
 //!   inserted cancelling `Swap` level pairs — yields the same hash;
-//! * semantically distinct networks get distinct hashes (spot-checked).
+//! * semantically distinct networks get distinct hashes (spot-checked);
+//! * a shuffle network's direct lowering hashes like its iterated
+//!   reverse delta form, and the adversary's witnesses carry over.
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
+use snet_adversary::{refute, theorem41};
 use snet_core::element::{Element, ElementKind};
 use snet_core::ir::{
     AbsorbRoutes, CanonicalHash, NormalizeCmpRev, PassManager, Program, StripPassSwap,
 };
 use snet_core::network::{ComparatorNetwork, Level};
 use snet_core::perm::Permutation;
+use snet_topology::random::random_shuffle_network;
 
 /// A network exercising every construct the pipeline absorbs: routes,
 /// `Swap`, `CmpRev`, `Pass` (mirrors the generator in the IR unit tests).
@@ -204,4 +208,40 @@ fn hash_is_stable_across_processes() {
     rev.push_elements(vec![Element::cmp(0, 2), Element::cmp(1, 3)]).unwrap();
     rev.push_elements(vec![Element::cmp(1, 2)]).unwrap();
     assert_eq!(CanonicalHash::of_network(&rev).to_hex(), h);
+}
+
+#[test]
+fn shuffle_lowerings_hash_alike_and_share_witnesses() {
+    // snetd keys an adversary verdict by the direct lowering of a shuffle
+    // network and builds the iterated reverse delta form only on a miss;
+    // every such store key rests on this property. Both lowerings must
+    // hash alike, and a witness the adversary finds through the iterated
+    // reverse delta form must verify against the direct lowering.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(0x5417_0000);
+    let mut witnesses = 0;
+    for l in 1..=10usize {
+        let n = 1 << l;
+        // A multiple of lg n, then a non-multiple (none exists for lg n = 1).
+        for d in [l, 2 * l + 1] {
+            for density in [0.0, 0.5, 1.0] {
+                let sn = random_shuffle_network(n, d, density, &mut rng);
+                let direct = sn.to_network();
+                let ird = sn.to_iterated_reverse_delta();
+                let via_ird = ird.to_network();
+                let case = format!("n={n} d={d} density={density}");
+                assert_eq!(
+                    CanonicalHash::of_network(&direct),
+                    CanonicalHash::of_network(&via_ird),
+                    "{case}"
+                );
+                let out = theorem41(&ird, l);
+                if out.d_set.len() >= 2 {
+                    let r = refute(&via_ird, &out.input_pattern).expect("|D| >= 2");
+                    r.verify(&direct).unwrap_or_else(|e| panic!("{case}: {e}"));
+                    witnesses += 1;
+                }
+            }
+        }
+    }
+    assert!(witnesses >= 50, "the property saw too few witnesses ({witnesses})");
 }
