@@ -10,7 +10,7 @@
 //! `results/ir_passes.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use snet_analysis::Workload;
+use snet_bench::Workload;
 use snet_core::ir::{
     check_zero_one_sharded, Executor, Pass, PassManager, Program, RedundantElim, Relayer,
 };

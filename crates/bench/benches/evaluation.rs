@@ -3,7 +3,7 @@
 //! a reused scratch buffer, and the comparison-tracing evaluator.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use snet_analysis::Workload;
+use snet_bench::Workload;
 use snet_core::ir::Executor;
 use snet_core::trace::ComparisonTrace;
 use snet_sorters::{bitonic_circuit, odd_even_mergesort};

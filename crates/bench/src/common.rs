@@ -1,6 +1,6 @@
 //! Shared configuration for the experiment binaries.
 
-use snet_core::ir::Executor;
+use snet_core::ir::{default_engine_threads, Executor};
 use snet_core::network::ComparatorNetwork;
 use snet_topology::random::{RandomDeltaConfig, SplitStyle};
 
@@ -17,7 +17,7 @@ pub struct ExpConfig {
 
 impl Default for ExpConfig {
     fn default() -> Self {
-        ExpConfig { seed: 0x5EED_CAFE, full: false, threads: snet_analysis::default_threads() }
+        ExpConfig { seed: 0x5EED_CAFE, full: false, threads: default_engine_threads() }
     }
 }
 
@@ -57,7 +57,7 @@ pub fn compiled(net: &ComparatorNetwork) -> Executor {
 }
 
 /// Writes a table to stdout and appends its CSV form under `results/`.
-pub fn emit(table: &snet_analysis::Table, csv_name: &str) {
+pub fn emit(table: &crate::Table, csv_name: &str) {
     println!("{}", table.render());
     let dir = std::path::Path::new("results");
     if std::fs::create_dir_all(dir).is_ok() {

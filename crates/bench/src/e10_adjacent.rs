@@ -7,7 +7,7 @@
 //! truncated networks (gaps = exactly the adversary's leverage).
 
 use crate::common::{emit, ExpConfig};
-use snet_analysis::{sweep, Table, Workload};
+use crate::{sweep, Table, Workload};
 use snet_core::network::ComparatorNetwork;
 use snet_core::trace::AdjacentCoverage;
 use snet_sorters::randomized::bitonic_prefix;

@@ -7,9 +7,9 @@
 //! outcome) checks out.
 
 use crate::common::{emit, ExpConfig};
+use crate::{sweep, Table};
 use rand::{Rng, SeedableRng};
 use snet_adversary::adaptive::{AdaptiveRun, CmpOutcome};
-use snet_analysis::{sweep, Table};
 use snet_core::element::ElementKind;
 
 fn play(

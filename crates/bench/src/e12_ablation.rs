@@ -14,9 +14,9 @@
 //! sorter: survival is capped at `lg n − 1`) and deep random IRDs.
 
 use crate::common::{dense_cfg, emit, ExpConfig};
+use crate::{sweep, Table};
 use rand::SeedableRng;
 use snet_adversary::{theorem41_with, AdversaryConfig, OffsetPolicy, SetChoice};
-use snet_analysis::{sweep, Table};
 use snet_sorters::bitonic_shuffle;
 use snet_topology::random::{random_iterated, SplitStyle};
 

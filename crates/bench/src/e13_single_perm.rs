@@ -15,8 +15,8 @@
 //! about *sorting*, not mixing.
 
 use crate::common::{emit, ExpConfig};
+use crate::{sweep, Table};
 use rand::SeedableRng;
-use snet_analysis::{sweep, Table};
 use snet_core::perm::Permutation;
 use snet_topology::mixing::comparison_closure_depth;
 

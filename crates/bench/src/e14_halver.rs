@@ -11,7 +11,7 @@
 //! worst-vs-average separation.
 
 use crate::common::{emit, ExpConfig};
-use snet_analysis::{fmt_f, sweep, Table, Workload};
+use crate::{fmt_f, sweep, Table, Workload};
 use snet_core::ir::Executor;
 use snet_core::sortcheck::check_random_permutations;
 use snet_sorters::halver::{

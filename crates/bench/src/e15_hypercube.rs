@@ -9,9 +9,9 @@
 //! per-block dimension orders, with and without free inter-block routes.
 
 use crate::common::{emit, ExpConfig};
+use crate::{sweep, Table};
 use rand::SeedableRng;
 use snet_adversary::{refute, theorem41};
-use snet_analysis::{sweep, Table};
 use snet_core::perm::Permutation;
 use snet_topology::hypercube::{iterated_from_schedules, schedules, DimensionBlock};
 

@@ -14,9 +14,9 @@
 //! and a random full-depth IRD.
 
 use crate::common::{dense_cfg, emit, ExpConfig};
+use crate::{fmt_f, sweep, Table, Workload};
 use rand::SeedableRng;
 use snet_adversary::theorem41;
-use snet_analysis::{fmt_f, sweep, Table, Workload};
 use snet_core::element::ElementKind;
 use snet_core::network::ComparatorNetwork;
 use snet_core::sortcheck::{check_zero_one_exhaustive, is_sorted, SortCheck};

@@ -9,7 +9,7 @@
 //! size column of E4.
 
 use crate::common::{emit, ExpConfig};
-use snet_analysis::{sweep, Table};
+use crate::{sweep, Table};
 use snet_core::optimize::{redundant_comparators, with_comparators_passed};
 use snet_core::sortcheck::check_zero_one_exhaustive;
 use snet_sorters::{

@@ -15,7 +15,7 @@
 //! checker before it reaches the table.
 
 use crate::common::{emit, ExpConfig};
-use snet_analysis::Table;
+use crate::Table;
 use snet_search::{search, SearchConfig, SearchMode};
 
 /// Runs E18 and prints/saves its table.

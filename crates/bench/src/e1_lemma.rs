@@ -6,9 +6,9 @@
 //! largest single set, and how often a zero-loss matching offset existed.
 
 use crate::common::{dense_cfg, emit, ExpConfig};
+use crate::{fmt_f, sweep, Table};
 use rand::SeedableRng;
 use snet_adversary::lemma41::{lemma41, t_of};
-use snet_analysis::{fmt_f, sweep, Table};
 use snet_pattern::{Pattern, Symbol};
 use snet_topology::random::{random_reverse_delta, SplitStyle};
 use snet_topology::ReverseDelta;

@@ -7,9 +7,9 @@
 //! retains — the empirical "who wins by what factor" shape.
 
 use crate::common::{dense_cfg, emit, ExpConfig};
+use crate::{ascii_chart, fmt_f, sweep, Series, Table};
 use rand::SeedableRng;
 use snet_adversary::theorem41;
-use snet_analysis::{ascii_chart, fmt_f, sweep, Series, Table};
 use snet_sorters::bitonic_shuffle;
 use snet_topology::random::{random_iterated, SplitStyle};
 

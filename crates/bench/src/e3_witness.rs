@@ -9,9 +9,9 @@
 //! refuted (blocks survived), which far exceeds the theoretical cutoff.
 
 use crate::common::{dense_cfg, emit, ExpConfig};
+use crate::{fmt_f, sweep, Table};
 use rand::SeedableRng;
 use snet_adversary::{refute, theorem41};
-use snet_analysis::{fmt_f, sweep, Table};
 use snet_sorters::bitonic_shuffle;
 use snet_topology::random::{random_iterated, SplitStyle};
 use snet_topology::IteratedReverseDelta;

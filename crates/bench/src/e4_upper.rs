@@ -6,7 +6,7 @@
 //! of every baseline and the numeric gap `depth / (lg²n / lg lg n)`.
 
 use crate::common::{emit, ExpConfig};
-use snet_analysis::{fmt_f, sweep, Table, Workload};
+use crate::{fmt_f, sweep, Table, Workload};
 use snet_core::network::ComparatorNetwork;
 use snet_core::sortcheck::{check_random_permutations, check_zero_one_exhaustive};
 use snet_sorters::{

@@ -7,9 +7,9 @@
 //! the paper's shape `f · lg n / lg f`.
 
 use crate::common::{emit, ExpConfig};
+use crate::{fmt_f, sweep, Table};
 use rand::SeedableRng;
 use snet_adversary::truncated::{truncated_adversary, TruncatedNetwork};
-use snet_analysis::{fmt_f, sweep, Table};
 
 /// Runs E5 and prints/saves its table.
 pub fn run(cfg: &ExpConfig) {

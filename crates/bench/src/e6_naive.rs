@@ -6,9 +6,9 @@
 //! decays, level by level, over consecutive butterfly blocks.
 
 use crate::common::{emit, ExpConfig};
+use crate::Table;
 use snet_adversary::naive::naive_adversary;
 use snet_adversary::theorem41;
-use snet_analysis::Table;
 use snet_sorters::bitonic_shuffle;
 use snet_topology::{Block, IteratedReverseDelta, ReverseDelta};
 

@@ -18,9 +18,9 @@
 //!   the worst case — it does, at every depth short of the full sorter.
 
 use crate::common::{emit, ExpConfig};
+use crate::{fmt_f, sweep, wilson95, Table, Workload};
+use crate::{inversions, max_dislocation, mean_dislocation};
 use snet_adversary::theorem41;
-use snet_analysis::{fmt_f, sweep, wilson95, Table, Workload};
-use snet_analysis::{inversions, max_dislocation, mean_dislocation};
 use snet_core::sortcheck::is_sorted;
 use snet_core::trace::settle_depth;
 use snet_sorters::randomized::{bitonic_prefix, randomizing_block};
@@ -110,22 +110,20 @@ pub fn run(cfg: &ExpConfig) {
     // Settle-depth distribution of the FULL sorter (the paper's §5
     // average-case measure): most inputs settle before the last level.
     {
-        use snet_analysis::Histogram;
         use snet_sorters::bitonic_shuffle;
         let net = bitonic_shuffle(n).to_network();
-        let mut hist = Histogram::new(net.depth());
         let mut w = Workload::new(seed ^ 0x5E77);
-        for _ in 0..200 {
-            let input = w.permutation(n);
-            hist.add(settle_depth(&net, &input));
-        }
+        let mut depths: Vec<usize> =
+            (0..200).map(|_| settle_depth(&net, &w.permutation(n))).collect();
+        depths.sort_unstable();
+        let mean = depths.iter().sum::<usize>() as f64 / depths.len() as f64;
+        let quantile = |q: f64| depths[(q * (depths.len() - 1) as f64).round() as usize];
         println!(
-            "Settle-depth distribution, full bitonic (n = {n}, {} levels): mean {:.1}, p50 {}, p95 {}, max {}",
+            "Settle-depth distribution, full bitonic (n = {n}, {} levels): mean {mean:.1}, p50 {}, p95 {}, max {}",
             net.depth(),
-            hist.mean(),
-            hist.quantile(0.5),
-            hist.quantile(0.95),
-            hist.quantile(1.0),
+            quantile(0.5),
+            quantile(0.95),
+            quantile(1.0),
         );
     }
 

@@ -8,7 +8,7 @@
 //! so routing adds nothing to comparator depth.
 
 use crate::common::{emit, ExpConfig};
-use snet_analysis::{sweep, Table, Workload};
+use crate::{sweep, Table, Workload};
 use snet_core::perm::Permutation;
 use snet_topology::benes::{realizes, route_permutation};
 

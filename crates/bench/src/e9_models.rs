@@ -6,8 +6,8 @@
 //! shuffle networks; behaviour equality is checked on batches of inputs.
 
 use crate::common::{emit, ExpConfig};
+use crate::{sweep, Table, Workload};
 use rand::{Rng, SeedableRng};
-use snet_analysis::{sweep, Table, Workload};
 use snet_core::element::{Element, ElementKind};
 use snet_core::network::{ComparatorNetwork, Level};
 use snet_core::perm::Permutation;

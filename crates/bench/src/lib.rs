@@ -9,6 +9,23 @@
 //! ```
 //!
 //! Criterion micro-benchmarks live under `benches/`.
+//!
+//! The experiments share seeded [`workload`] generators, sortedness
+//! [`metrics`], a deterministic parallel [`sweep`][mod@sweep] driver,
+//! and uniform [`table`] (text + CSV) and [`plot`] rendering:
+//!
+//! ```
+//! use snet_bench::{sweep, Table, Workload};
+//!
+//! let mut w = Workload::new(42);
+//! let inputs = w.permutations(8, 4);
+//! let rows = sweep(inputs, 2, |p| p.iter().copied().max().unwrap());
+//! assert_eq!(rows, vec![7, 7, 7, 7]);
+//!
+//! let mut t = Table::new("demo", &["max"]);
+//! t.row(vec![rows[0].to_string()]);
+//! assert!(t.render().contains("demo"));
+//! ```
 
 #![warn(missing_docs)]
 
@@ -31,9 +48,19 @@ pub mod e6_naive;
 pub mod e7_average;
 pub mod e8_routing;
 pub mod e9_models;
+pub mod metrics;
+pub mod plot;
 mod registry_tests;
+pub mod sweep;
+pub mod table;
+pub mod workload;
 
 pub use common::ExpConfig;
+pub use metrics::{inversions, max_dislocation, mean_dislocation, wilson95};
+pub use plot::{ascii_chart, Series};
+pub use sweep::sweep;
+pub use table::{fmt_f, Table};
+pub use workload::Workload;
 
 /// Runs one experiment by id ("e1" … "e18") or "all".
 pub fn run_experiment(id: &str, cfg: &ExpConfig) -> bool {

@@ -73,10 +73,33 @@ impl NetworkFile {
         NetworkFile::Shuffle { n: sn.wires(), stages: sn.stages().to_vec() }
     }
 
-    /// Reads a document from a JSON file.
+    /// Reads a document from a JSON file. A shuffle document must have the
+    /// shape [`ShuffleNetwork::try_new`] accepts.
     pub fn load(path: &str) -> Result<Self, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
+        let doc: NetworkFile = serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
+        if let NetworkFile::Shuffle { n, stages } = &doc {
+            ShuffleNetwork::try_new(*n, stages.clone()).map_err(|e| format!("{path}: {e}"))?;
+        }
+        Ok(doc)
+    }
+
+    /// The iterated-reverse-delta form the Theorem 4.1 adversary runs on,
+    /// or why the document at `path` cannot give one: it is not in the
+    /// class, or it has no block for the adversary to play against.
+    pub fn adversary_input(&self, path: &str) -> Result<IteratedReverseDelta, String> {
+        let ird = self.as_ird().ok_or_else(|| {
+            format!(
+                "{path}: the adversary needs a shuffle-based or IRD file, or a circuit \
+                 that structurally recognizes as one"
+            )
+        })?;
+        if ird.blocks().is_empty() || ird.wires() < 2 {
+            return Err(format!(
+                "{path}: the adversary needs at least one stage, on 2 or more wires"
+            ));
+        }
+        Ok(ird)
     }
 
     /// Writes the document as pretty JSON.

@@ -283,6 +283,14 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let n: usize = parse(flag(args, "--n").ok_or("gen requires --n")?, "--n")?;
     let out = flag(args, "-o").ok_or("gen requires -o FILE")?;
     let seed: u64 = parse(flag(args, "--seed").unwrap_or("0"), "--seed")?;
+    // Every generator but `pratt` and `brick` builds on n = 2^l wires.
+    let power_of_two_kind = matches!(
+        kind,
+        "bitonic" | "odd-even" | "periodic" | "random-shuffle" | "randomized" | "random-ird"
+    );
+    if power_of_two_kind && !(n >= 2 && n.is_power_of_two()) {
+        return Err(format!("gen --kind {kind} needs n = 2^l >= 2 (got {n})"));
+    }
     let doc = match kind {
         "bitonic" => NetworkFile::from_shuffle(&bitonic_shuffle(n)),
         "odd-even" => NetworkFile::Circuit { network: odd_even_mergesort(n) },
@@ -461,11 +469,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 
 fn cmd_refute(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("refute requires FILE")?;
-    let doc = NetworkFile::load(path)?;
-    let ird = doc.as_ird().ok_or(
-        "refute runs the iterated-reverse-delta adversary: the file must be \
-         shuffle-based, an IRD, or a circuit that structurally recognizes as one",
-    )?;
+    let ird = NetworkFile::load(path)?.adversary_input(path)?;
     let l = ird.wires().trailing_zeros() as usize;
     let k: usize = parse(flag(args, "--k").unwrap_or(&l.to_string()), "--k")?;
     let net = ird.to_network();
@@ -700,16 +704,13 @@ fn search_stats_table(outcome: &snet_search::SearchOutcome) -> String {
     if let Some(last) = outcome.rounds.last() {
         if !last.workers.is_empty() {
             out.push('\n');
-            let _ = writeln!(
-                out,
-                "{:<10} {:>10} {:>10} {:>10} {:>14}",
-                "worker", "run", "aborted", "steals", "nodes"
-            );
+            let _ =
+                writeln!(out, "{:<10} {:>10} {:>10} {:>14}", "worker", "run", "aborted", "nodes");
             for w in &last.workers {
                 let _ = writeln!(
                     out,
-                    "{:<10} {:>10} {:>10} {:>10} {:>14}",
-                    w.worker, w.tasks_run, w.tasks_aborted, w.steals, w.nodes
+                    "{:<10} {:>10} {:>10} {:>14}",
+                    w.worker, w.tasks_run, w.tasks_aborted, w.nodes
                 );
             }
         }
@@ -1420,8 +1421,7 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
     use snet_adversary::LowerBoundCertificate;
     let path = args.first().ok_or("certify requires FILE")?;
     let out_path = flag(args, "-o").ok_or("certify requires -o CERT")?;
-    let doc = NetworkFile::load(path)?;
-    let ird = doc.as_ird().ok_or("certify needs a shuffle-based or IRD file")?;
+    let ird = NetworkFile::load(path)?.adversary_input(path)?;
     let l = ird.wires().trailing_zeros() as usize;
     let k: usize = parse(flag(args, "--k").unwrap_or(&l.to_string()), "--k")?;
     let net = ird.to_network();

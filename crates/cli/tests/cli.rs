@@ -159,6 +159,66 @@ fn corrupt_file_is_rejected_cleanly() {
     assert!(!out.status.success(), "self-loop element must fail validation on load");
 }
 
+/// Asserts a clean usage failure: exit 1, the file named, no panic.
+fn assert_rejected(args: &[&str], path: &str) {
+    let out = snetctl(args);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(err.contains(path), "{args:?}: stderr names the file: {err}");
+    assert!(!err.contains("panicked"), "{args:?}: {err}");
+}
+
+#[test]
+fn malformed_network_files_exit_1_without_panicking() {
+    let shuffle =
+        |n: usize, stages: &str| format!(r#"{{"type":"shuffle","n":{n},"stages":{stages}}}"#);
+    // Shapes no shuffle network has: every command that loads them fails.
+    for (name, doc) in [
+        ("shuffle_n6.json", shuffle(6, r#"[["Cmp","Cmp","Cmp"]]"#)),
+        ("shuffle_n0.json", shuffle(0, "[]")),
+        ("shuffle_short_stage.json", shuffle(8, r#"[["Cmp","Cmp","Cmp","Cmp"],["Cmp"]]"#)),
+    ] {
+        let f = tmpfile(name);
+        std::fs::write(&f, doc).unwrap();
+        for cmd in ["check", "info", "refute"] {
+            assert_rejected(&[cmd, &f], &f);
+        }
+        assert_rejected(&["certify", &f, "-o", &tmpfile("unused_cert.json")], &f);
+    }
+    // Well-formed but empty: nothing for the adversary to play against.
+    for (name, doc) in [
+        ("shuffle_no_stages.json", shuffle(8, "[]")),
+        (
+            "ird_no_blocks.json",
+            r#"{"type":"ird","network":{"blocks":[],"post_route":null}}"#.into(),
+        ),
+    ] {
+        let f = tmpfile(name);
+        std::fs::write(&f, doc).unwrap();
+        assert_rejected(&["refute", &f], &f);
+        assert_rejected(&["certify", &f, "-o", &tmpfile("unused_cert.json")], &f);
+    }
+}
+
+#[test]
+fn gen_rejects_widths_its_kind_cannot_build() {
+    let f = tmpfile("gen_width.json");
+    for kind in ["bitonic", "odd-even", "periodic", "random-shuffle", "randomized", "random-ird"] {
+        for n in ["6", "12", "0", "1"] {
+            let out = snetctl(&["gen", "--kind", kind, "--n", n, "--depth", "3", "-o", &f]);
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{kind} --n {n}: {err}");
+            assert!(err.contains("n = 2^l"), "{kind} --n {n}: {err}");
+            assert!(!err.contains("panicked"), "{kind} --n {n}: {err}");
+        }
+    }
+    for kind in ["pratt", "brick"] {
+        let out = snetctl(&["gen", "--kind", kind, "--n", "6", "-o", &f]);
+        assert!(out.status.success(), "{kind}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(String::from_utf8_lossy(&out.stdout).contains("6 wires"));
+    }
+}
+
 #[test]
 fn refute_explain_prints_proof_log() {
     let f = tmpfile("unit2.json");

@@ -474,7 +474,8 @@ impl Executor {
         SortCheck::AllSorted { tested: total }
     }
 
-    /// Work-stealing sharded scan across `threads` workers.
+    /// Sharded scan across `threads` workers, which claim shards in index
+    /// order from one atomic cursor.
     fn check_sharded(
         &self,
         total: u64,
@@ -490,9 +491,9 @@ impl Executor {
         let shard = (total / (threads as u64 * 8)).next_multiple_of(64).max(64);
         let shard_count = total.div_ceil(shard);
         let cursor = AtomicU64::new(0);
-        crossbeam::thread::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..threads {
-                scope.spawn(|_| {
+                scope.spawn(|| {
                     let mut slots = vec![0u64; n];
                     let mut route_scratch = Vec::new();
                     loop {
@@ -520,8 +521,7 @@ impl Executor {
                     }
                 });
             }
-        })
-        .expect("verification workers do not panic");
+        });
 
         match best.load(Ordering::Acquire) {
             u64::MAX => SortCheck::AllSorted { tested: total },
@@ -576,14 +576,13 @@ impl Executor {
         assert!(threads >= 1);
         let threads = threads.min(inputs.len().max(1));
         let chunk = inputs.len().div_ceil(threads.max(1)).max(1);
-        let mut results: Vec<A> = Vec::with_capacity(threads);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let mut handles = Vec::new();
             for (ci, slice) in inputs.chunks(chunk).enumerate() {
                 let f = &f;
                 let fold = &fold;
                 let exec = &self;
-                handles.push(s.spawn(move |_| {
+                handles.push(s.spawn(move || {
                     let mut scratch: Vec<T> = Vec::with_capacity(exec.wires());
                     let mut acc = A::default();
                     let mut buf: Vec<T> = Vec::new();
@@ -596,12 +595,8 @@ impl Executor {
                     acc
                 }));
             }
-            for h in handles {
-                results.push(h.join().expect("batch worker panicked"));
-            }
+            handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
         })
-        .expect("crossbeam scope");
-        results
     }
 
     /// Counts, in parallel, how many of the inputs the network sorts.

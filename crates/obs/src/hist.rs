@@ -379,16 +379,9 @@ mod tests {
     fn concurrent_recording_loses_nothing() {
         let h = Histogram::new();
         let c = ShardedCounter::new();
-        crossbeam_free_scope(&h, &c);
-        let s = h.snapshot();
-        assert_eq!(s.count, 4 * 1000);
-        assert_eq!(c.sum(), 4 * 1000);
-    }
-
-    // std::thread::scope keeps crossbeam out of this crate.
-    fn crossbeam_free_scope(h: &Histogram, c: &ShardedCounter) {
         std::thread::scope(|s| {
             for t in 0..4u64 {
+                let (h, c) = (&h, &c);
                 s.spawn(move || {
                     for i in 0..1000 {
                         h.record(t * 1000 + i);
@@ -397,6 +390,9 @@ mod tests {
                 });
             }
         });
+        let s = h.snapshot();
+        assert_eq!(s.count, 4 * 1000);
+        assert_eq!(c.sum(), 4 * 1000);
     }
 
     #[test]

@@ -117,7 +117,6 @@ fn help_for(dotted: &str) -> &'static str {
         "search.nodes" => "Search tree nodes expanded",
         "search.heartbeat" => "Search liveness heartbeat (one tick per 128 nodes)",
         "search.rounds" => "Completed search rounds (one per depth budget)",
-        "search.steals" => "Tasks stolen between search workers",
         "search.tt.hit" => "Transposition-table hits",
         "search.tt.miss" => "Transposition-table misses",
         "search.tt.store" => "Transposition-table stores",

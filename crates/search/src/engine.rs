@@ -1,4 +1,4 @@
-//! The iterative-deepening, work-stealing search engine.
+//! The iterative-deepening, parallel search engine.
 //!
 //! # Algorithm
 //!
@@ -32,9 +32,11 @@
 //! # Determinism
 //!
 //! The result is identical for every thread count. Tasks are indexed in
-//! a fixed enumeration order; the first Sat *by index* wins. A worker
-//! aborts a task only when a strictly lower-indexed task has already
-//! succeeded, so every task below the winning index runs to completion
+//! a fixed enumeration order; the first Sat *by index* wins. Workers
+//! claim tasks in that order from one atomic cursor, so no task waits
+//! behind a higher-indexed one. A worker aborts a task only when a
+//! strictly lower-indexed task has already succeeded, so every task
+//! below the winning index runs to completion
 //! (and is Unsat), making the winner — and its DFS path, which visits
 //! children in a fixed order — schedule-independent. The transposition
 //! table stores only refutations (true facts about states), so sharing
@@ -47,7 +49,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker as Deque};
 use snet_adversary::DepthOracle;
 use snet_core::ir::Executor;
 use snet_core::network::{ComparatorNetwork, Level};
@@ -194,9 +195,6 @@ pub struct SearchStats {
     pub tasks_run: u64,
     /// Prefix tasks abandoned after a lower-indexed task succeeded.
     pub tasks_aborted: u64,
-    /// Tasks a worker obtained by stealing from a sibling's deque
-    /// (rather than its own deque or the shared injector).
-    pub steals: u64,
 }
 
 impl SearchStats {
@@ -212,7 +210,6 @@ impl SearchStats {
         self.tt_evicts += other.tt_evicts;
         self.tasks_run += other.tasks_run;
         self.tasks_aborted += other.tasks_aborted;
-        self.steals += other.steals;
     }
 
     /// Fraction of transposition probes answered by a stored refutation
@@ -237,7 +234,6 @@ impl SearchStats {
         snet_obs::counter("search.subsumed", self.subsumed);
         snet_obs::counter("search.noop.skip", self.noop_skips);
         snet_obs::counter("search.witness.skip", self.witness_skips);
-        snet_obs::counter("search.steals", self.steals);
     }
 }
 
@@ -260,7 +256,7 @@ impl RoundHists {
     }
 }
 
-/// One worker's share of a round, for steal-balance reporting. Worker
+/// One worker's share of a round, for balance reporting. Worker
 /// identity is the spawn index, so rows are stable across runs even
 /// though the *assignment* of tasks to workers is timing-dependent.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -271,8 +267,6 @@ pub struct WorkerBalance {
     pub tasks_run: u64,
     /// Tasks this worker abandoned after a lower-indexed Sat.
     pub tasks_aborted: u64,
-    /// Tasks obtained by stealing from a sibling.
-    pub steals: u64,
     /// DFS nodes this worker expanded.
     pub nodes: u64,
 }
@@ -297,7 +291,7 @@ pub struct BudgetRound {
     pub stats: SearchStats,
     /// Task-granularity histograms for this round.
     pub hists: RoundHists,
-    /// Per-worker task/steal balance, ordered by spawn index.
+    /// Per-worker task balance, ordered by spawn index.
     pub workers: Vec<WorkerBalance>,
     /// Wall-clock milliseconds spent in the round.
     pub elapsed_ms: u64,
@@ -353,9 +347,9 @@ impl SearchOutcome {
     }
 }
 
-/// A two-layer (or shorter) prefix queued as one parallel task.
+/// A two-layer (or shorter) prefix run as one parallel task. Its index in
+/// the round's task list orders it for lowest-index-wins.
 struct PrefixTask {
-    index: usize,
     layer_ids: Vec<u32>,
     state: ZeroOneSet,
 }
@@ -437,7 +431,7 @@ pub fn search(cfg: &SearchConfig) -> SearchOutcome {
             &oracle,
             &tt,
             budget,
-            tasks,
+            &tasks,
             threads,
             round_span.id(),
             &cancel,
@@ -604,7 +598,7 @@ fn prefix_tasks(
                 continue; // equal states are interchangeable; first index wins
             }
             seen.insert(key, tasks.len());
-            tasks.push(PrefixTask { index: tasks.len(), layer_ids, state });
+            tasks.push(PrefixTask { layer_ids, state });
         }
     }
     let summary = PrefixSummary {
@@ -615,10 +609,10 @@ fn prefix_tasks(
     (tasks, summary)
 }
 
-/// Runs one budget round over its prefix tasks with a work-stealing
-/// worker pool. Returns the winning full move-id list (lowest task index
-/// with a Sat DFS), the merged round stats, the round's task
-/// histograms, and the per-worker balance.
+/// Runs one budget round over its prefix tasks. Workers claim tasks in
+/// index order from one atomic cursor. Returns the winning full move-id
+/// list (lowest task index with a Sat DFS), the merged round stats, the
+/// round's task histograms, and the per-worker balance.
 #[allow(clippy::too_many_arguments)]
 fn run_round(
     cfg: &SearchConfig,
@@ -627,16 +621,16 @@ fn run_round(
     oracle: &DepthOracle,
     tt: &TransTable,
     budget: usize,
-    tasks: Vec<PrefixTask>,
+    tasks: &[PrefixTask],
     threads: usize,
     round_span_id: u64,
     cancel: &CancelToken,
 ) -> (Option<Vec<u32>>, SearchStats, RoundHists, Vec<WorkerBalance>) {
-    let task_count = tasks.len();
+    let cursor = AtomicUsize::new(0);
     let best = AtomicUsize::new(usize::MAX);
     // Locked without minding poison: a panicking worker then fails the
     // round once, at the scope's join, not again in every other worker.
-    let results: Mutex<Vec<Option<Vec<u32>>>> = Mutex::new(vec![None; task_count]);
+    let results: Mutex<Vec<Option<Vec<u32>>>> = Mutex::new(vec![None; tasks.len()]);
     let stats = Mutex::new(SearchStats::default());
     let balances: Mutex<Vec<WorkerBalance>> = Mutex::new(Vec::with_capacity(threads));
     // Shared wait-free histograms; workers record once per *task*, so the
@@ -645,24 +639,12 @@ fn run_round(
     let task_nodes_hist = Histogram::new();
     let task_us_hist = Histogram::new();
 
-    let injector = Injector::new();
-    for task in tasks {
-        injector.push(task);
-    }
-    let deques: Vec<Deque<PrefixTask>> = (0..threads).map(|_| Deque::new_fifo()).collect();
-    let stealers: Vec<Stealer<PrefixTask>> = deques.iter().map(|d| d.stealer()).collect();
-
-    crossbeam::thread::scope(|scope| {
-        for (worker_index, local) in deques.into_iter().enumerate() {
-            let injector = &injector;
-            let stealers = &stealers;
-            let best = &best;
-            let results = &results;
-            let stats = &stats;
-            let balances = &balances;
-            let task_nodes_hist = &task_nodes_hist;
-            let task_us_hist = &task_us_hist;
-            scope.spawn(move |_| {
+    std::thread::scope(|scope| {
+        for worker_index in 0..threads {
+            let (cursor, best, results) = (&cursor, &best, &results);
+            let (stats, balances) = (&stats, &balances);
+            let (task_nodes_hist, task_us_hist) = (&task_nodes_hist, &task_us_hist);
+            scope.spawn(move || {
                 snet_obs::thread_lane(format!("search-worker-{worker_index}"));
                 // Explicit parent: this thread has no span stack, so
                 // without `span_under` the worker span would orphan to a
@@ -684,23 +666,23 @@ fn run_round(
                     keybuf: Vec::new(),
                     stats: SearchStats::default(),
                 };
-                while let Some(task) =
-                    next_task(&local, injector, stealers, &mut worker.stats.steals)
-                {
-                    if best.load(Ordering::SeqCst) < task.index || cancel.is_cancelled() {
+                loop {
+                    let index = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(task) = tasks.get(index) else { break };
+                    if best.load(Ordering::SeqCst) < index || cancel.is_cancelled() {
                         worker.stats.tasks_aborted += 1;
                         continue;
                     }
-                    worker.my_index = task.index;
+                    worker.my_index = index;
                     let used = task.layer_ids.len();
                     let task_started = Instant::now();
                     let nodes_before = worker.stats.nodes;
                     match worker.dfs(&task.state, used, budget - used) {
                         Dfs::Sat(suffix) => {
-                            best.fetch_min(task.index, Ordering::SeqCst);
+                            best.fetch_min(index, Ordering::SeqCst);
                             let mut ids = task.layer_ids.clone();
                             ids.extend(suffix);
-                            results.lock().unwrap_or_else(PoisonError::into_inner)[task.index] =
+                            results.lock().unwrap_or_else(PoisonError::into_inner)[index] =
                                 Some(ids);
                             worker.stats.tasks_run += 1;
                         }
@@ -711,20 +693,17 @@ fn run_round(
                     task_us_hist.record(task_started.elapsed().as_micros() as u64);
                 }
                 worker_span.add_attr("tasks", worker.stats.tasks_run);
-                worker_span.add_attr("steals", worker.stats.steals);
                 worker_span.add_attr("nodes", worker.stats.nodes);
                 balances.lock().unwrap_or_else(PoisonError::into_inner).push(WorkerBalance {
                     worker: worker_index as u64,
                     tasks_run: worker.stats.tasks_run,
                     tasks_aborted: worker.stats.tasks_aborted,
-                    steals: worker.stats.steals,
                     nodes: worker.stats.nodes,
                 });
                 stats.lock().unwrap_or_else(PoisonError::into_inner).absorb(&worker.stats);
             });
         }
-    })
-    .expect("search workers do not panic");
+    });
 
     let winner_index = best.load(Ordering::SeqCst);
     let winner = if winner_index == usize::MAX {
@@ -740,41 +719,6 @@ fn run_round(
     let mut workers = balances.into_inner().unwrap_or_else(PoisonError::into_inner);
     workers.sort_by_key(|w| w.worker);
     (winner, stats.into_inner().unwrap_or_else(PoisonError::into_inner), hists, workers)
-}
-
-/// Pops the next task: local deque first, then the injector (batching
-/// into the local deque), then other workers' deques. Successful sibling
-/// steals increment `steals` (the balance metric).
-fn next_task(
-    local: &Deque<PrefixTask>,
-    injector: &Injector<PrefixTask>,
-    stealers: &[Stealer<PrefixTask>],
-    steals: &mut u64,
-) -> Option<PrefixTask> {
-    loop {
-        if let Some(task) = local.pop() {
-            return Some(task);
-        }
-        match injector.steal_batch_and_pop(local) {
-            Steal::Success(task) => return Some(task),
-            Steal::Retry => continue,
-            Steal::Empty => {}
-        }
-        let mut retry = false;
-        for stealer in stealers {
-            match stealer.steal() {
-                Steal::Success(task) => {
-                    *steals += 1;
-                    return Some(task);
-                }
-                Steal::Retry => retry = true,
-                Steal::Empty => {}
-            }
-        }
-        if !retry {
-            return None;
-        }
-    }
 }
 
 /// Applies one move to a single vector index: route the index bits, then

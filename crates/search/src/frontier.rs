@@ -93,6 +93,5 @@ fn stats_value(s: &SearchStats) -> Value {
         ("witness_skips", s.witness_skips.serialize()),
         ("tasks_run", s.tasks_run.serialize()),
         ("tasks_aborted", s.tasks_aborted.serialize()),
-        ("steals", s.steals.serialize()),
     ])
 }

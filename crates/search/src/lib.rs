@@ -18,9 +18,10 @@
 //! The engine ([`search`]) runs on reachable 0-1 sets
 //! ([`snet_core::zeroone::ZeroOneSet`]) with subsumption, a shared
 //! refutation-only transposition table ([`tt::TransTable`]), symmetry-
-//! broken two-layer prefixes ([`layers`]), and a work-stealing worker
-//! pool whose result is bit-identical for every thread count (see the
-//! determinism argument in [`engine`]'s module docs). Every witness is
+//! broken two-layer prefixes ([`layers`]), and a worker pool that claims
+//! prefix tasks in index order and whose result is bit-identical for
+//! every thread count (see the determinism argument in [`engine`]'s
+//! module docs). Every witness is
 //! re-verified by the sharded exhaustive 0-1 checker before it is
 //! reported.
 

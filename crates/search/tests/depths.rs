@@ -75,17 +75,25 @@ fn outcome_is_independent_of_thread_count() {
         (6, SearchMode::Unrestricted),
         (4, SearchMode::ShuffleLegal),
     ] {
-        let one = search(&config(n, mode, 1));
-        let many = search(&config(n, mode, 8));
-        assert_eq!(one.optimal_depth, many.optimal_depth, "n={n} {}", mode.name());
-        assert_eq!(one.network, many.network, "witness must not depend on SNET_THREADS");
-        assert_eq!(one.shuffle, many.shuffle);
-        assert_eq!(one.floor, many.floor);
-        assert_eq!(
-            one.rounds.iter().map(|r| (r.budget, r.sat, r.tasks)).collect::<Vec<_>>(),
-            many.rounds.iter().map(|r| (r.budget, r.sat, r.tasks)).collect::<Vec<_>>(),
-            "round structure must be schedule-independent"
-        );
+        let runs: Vec<_> = [1, 2, 8].map(|t| (t, search(&config(n, mode, t)))).into();
+        let one = &runs[0].1;
+        for (threads, many) in &runs {
+            let what = format!("n={n} {} threads={threads}", mode.name());
+            assert_eq!(one.optimal_depth, many.optimal_depth, "{what}");
+            assert_eq!(one.network, many.network, "witness must not depend on SNET_THREADS");
+            assert_eq!(one.shuffle, many.shuffle);
+            assert_eq!(one.floor, many.floor);
+            assert_eq!(
+                one.rounds.iter().map(|r| (r.budget, r.sat, r.tasks)).collect::<Vec<_>>(),
+                many.rounds.iter().map(|r| (r.budget, r.sat, r.tasks)).collect::<Vec<_>>(),
+                "round structure must be schedule-independent"
+            );
+            // Every prefix task is dispatched exactly once: run or aborted.
+            for r in &many.rounds {
+                let dispatched: u64 = r.workers.iter().map(|w| w.tasks_run + w.tasks_aborted).sum();
+                assert_eq!(dispatched, r.tasks as u64, "{what} budget={}", r.budget);
+            }
+        }
     }
 }
 

@@ -1,7 +1,7 @@
-//! Regression tests for search telemetry: worker spans from crossbeam
-//! threads must nest under the round span (not orphan to roots), and the
-//! emitted trace must reconstruct into the expected tree through the
-//! report machinery.
+//! Regression tests for search telemetry: worker spans from the engine's
+//! scoped threads must nest under the round span (not orphan to roots),
+//! and the emitted trace must reconstruct into the expected tree through
+//! the report machinery.
 
 use snet_obs::{report, EventKind};
 use snet_search::{search, SearchConfig, SearchMode};

@@ -805,7 +805,7 @@ impl JobManager {
         ctx: &RequestCtx,
     ) -> Result<CheckAnswer, ApiError> {
         let n = req.n as usize;
-        if !(2..=1024).contains(&n) || !n.is_power_of_two() {
+        if !(2..=1024).contains(&n) {
             return Err(ApiError::unprocessable(format!(
                 "adversary networks need n = 2^l in 2..=1024 (got {n})"
             )));
@@ -813,20 +813,12 @@ impl JobManager {
         if req.stages.is_empty() {
             return Err(ApiError::unprocessable("adversary needs at least one stage"));
         }
-        for (i, s) in req.stages.iter().enumerate() {
-            if s.len() != n / 2 {
-                return Err(ApiError::unprocessable(format!(
-                    "stage {i} has {} ops; every stage needs n/2 = {}",
-                    s.len(),
-                    n / 2
-                )));
-            }
-        }
+        let shuffle = snet_topology::ShuffleNetwork::try_new(n, req.stages.clone())
+            .map_err(ApiError::unprocessable)?;
         let l = n.trailing_zeros() as usize;
         let k = req.k.map(|k| k as usize).unwrap_or(l);
         // The direct lowering hashes like the iterated reverse delta form
         // (pinned in e2e_canonical_hash.rs), which only a miss builds.
-        let shuffle = snet_topology::ShuffleNetwork::new(n, req.stages.clone());
         let net = shuffle.to_network();
         let hash = CanonicalHash::of_network(&net);
         if let Some(hit) = verdicts::lookup_witness(self.store(), &net, &hash) {

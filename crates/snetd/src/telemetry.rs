@@ -15,7 +15,7 @@
 //! * **by span descent** — a `SpanStart` whose parent span already
 //!   belongs to a trace joins that trace and enrolls its own id, so
 //!   `span_under` worker spans emitted from *unregistered* pool threads
-//!   (the search engine's crossbeam scope) still land in the right
+//!   (the search engine's scoped worker threads) still land in the right
 //!   request trace.
 //!
 //! The capture sink never calls back into the obs API (that would

@@ -282,6 +282,20 @@ fn rejections_map_to_http_statuses() {
     let r = client::request(&addr, "POST", "/v1/search", Some(body.as_bytes())).unwrap();
     assert_eq!(r.status, 422, "a depth below the floor is rejected, not a worker panic");
 
+    // Adversary networks get the shuffle shape rule of network files.
+    let cmp = ElementKind::Cmp;
+    for (n, stages, why) in [
+        (6, vec![vec![cmp; 3]], "n = 2^l"),
+        (8, vec![vec![cmp; 4], vec![cmp; 3]], "stage 1 has 3 ops"),
+        (8, vec![], "at least one stage"),
+        (2048, vec![vec![cmp; 1024]], "2..=1024"),
+    ] {
+        let body = serde_json::to_string(&AdversaryRequest { n, stages, k: None }).unwrap();
+        let r = client::request(&addr, "POST", "/v1/adversary", Some(body.as_bytes())).unwrap();
+        assert_eq!(r.status, 422, "n = {n}");
+        assert!(r.text().contains(why), "n = {n}: {}", r.text());
+    }
+
     // Malformed JSON bodies are 422 too.
     let r = client::request(&addr, "POST", "/v1/check", Some(b"{nope")).unwrap();
     assert_eq!(r.status, 422);

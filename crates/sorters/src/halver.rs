@@ -152,7 +152,6 @@ mod tests {
 
     #[test]
     fn halver_tree_reduces_dislocation() {
-        use snet_analysis_free::mean_dislocation;
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let n = 256;
         let tree = halver_tree(n, 4, &mut rng);
@@ -170,18 +169,15 @@ mod tests {
         );
     }
 
-    // A tiny local reimplementation to avoid a dependency cycle with
-    // snet-analysis (which depends on nothing here, but sorters must not
-    // depend on analysis).
-    mod snet_analysis_free {
-        pub fn mean_dislocation(v: &[u32]) -> f64 {
-            if v.is_empty() {
-                return 0.0;
-            }
-            let total: u64 =
-                v.iter().enumerate().map(|(i, &x)| (x as i64 - i as i64).unsigned_abs()).sum();
-            total as f64 / v.len() as f64
+    // A local copy of snet-bench's `mean_dislocation`: sorters cannot
+    // depend on the bench crate, which depends on sorters.
+    fn mean_dislocation(v: &[u32]) -> f64 {
+        if v.is_empty() {
+            return 0.0;
         }
+        let total: u64 =
+            v.iter().enumerate().map(|(i, &x)| (x as i64 - i as i64).unsigned_abs()).sum();
+        total as f64 / v.len() as f64
     }
 
     #[test]

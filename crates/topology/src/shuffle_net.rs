@@ -26,12 +26,26 @@ pub struct ShuffleNetwork {
 
 impl ShuffleNetwork {
     /// Builds from explicit stage op vectors; each must have length `n/2`.
+    ///
+    /// # Panics
+    ///
+    /// Panics where [`ShuffleNetwork::try_new`] returns an error.
     pub fn new(n: usize, stages: Vec<Vec<ElementKind>>) -> Self {
-        assert!(n.is_power_of_two() && n >= 2, "shuffle networks need n = 2^l >= 2");
-        for (i, s) in stages.iter().enumerate() {
-            assert_eq!(s.len(), n / 2, "stage {i} must have n/2 = {} ops", n / 2);
+        Self::try_new(n, stages).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Builds from explicit stage op vectors, or says why they do not form
+    /// a shuffle network: `n` must be `2^l >= 2` and every stage must have
+    /// `n/2` ops. Network files and service requests are checked here.
+    pub fn try_new(n: usize, stages: Vec<Vec<ElementKind>>) -> Result<Self, String> {
+        if !n.is_power_of_two() || n < 2 {
+            return Err(format!("shuffle networks need n = 2^l >= 2 (got {n})"));
         }
-        ShuffleNetwork { n, stages }
+        if let Some((i, s)) = stages.iter().enumerate().find(|(_, s)| s.len() != n / 2) {
+            let (ops, half) = (s.len(), n / 2);
+            return Err(format!("stage {i} has {ops} ops; every stage needs n/2 = {half}"));
+        }
+        Ok(ShuffleNetwork { n, stages })
     }
 
     /// A network of `d` stages, all ops `+` (ascending comparators). `d = lg n`

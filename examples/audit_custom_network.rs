@@ -12,7 +12,7 @@
 //! ```
 
 use snet_adversary::{refute, theorem41};
-use snet_analysis::Workload;
+use snet_bench::Workload;
 use snet_core::sortcheck::{check_random_permutations, is_sorted};
 use snet_topology::random::random_shuffle_network;
 

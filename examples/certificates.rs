@@ -12,7 +12,7 @@
 //! ```
 
 use snet_adversary::{theorem41, LowerBoundCertificate};
-use snet_analysis::Workload;
+use snet_bench::Workload;
 use snet_topology::random::random_shuffle_network;
 
 fn main() {

@@ -14,7 +14,7 @@
 //! cargo run --release -p snet-bench --example route_and_models
 //! ```
 
-use snet_analysis::Workload;
+use snet_bench::Workload;
 use snet_core::perm::Permutation;
 use snet_core::register::RegisterNetwork;
 use snet_topology::benes::{realizes, route_permutation};
