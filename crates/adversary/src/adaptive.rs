@@ -31,6 +31,7 @@ use snet_core::element::{Element, ElementKind, WireId};
 use snet_core::network::{ComparatorNetwork, Level};
 use snet_pattern::pattern::Pattern;
 use snet_pattern::symbol::Symbol;
+use snet_topology::ShuffleNetwork;
 
 /// Outcome of one comparator, reported to the adaptive builder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,9 +54,9 @@ pub struct AdaptiveRun {
     k: usize,
     stage_in_block: usize,
     engine: Engine,
-    /// Families of the current height's nodes, indexed by the nodes' fixed
-    /// low bits.
-    fams: Vec<SetFamily>,
+    /// Set masses of the current height's nodes, indexed by the nodes'
+    /// fixed low bits.
+    masses: Vec<usize>,
     /// Network-input pattern (over `{S_0, M_0, L_0}`), updated per block.
     input_pattern: Pattern,
     /// Value `v`'s wire at the start of the current block.
@@ -100,7 +101,7 @@ impl AdaptiveRun {
             l,
             k,
             stage_in_block: 0,
-            fams: (0..n as WireId).map(|w| engine.leaf_family(w)).collect(),
+            masses: (0..n as WireId).map(|w| engine.leaf_mass(w)).collect(),
             engine,
             input_pattern: pat,
             entry_start: (0..n as WireId).collect(),
@@ -109,15 +110,6 @@ impl AdaptiveRun {
             stages: Vec::new(),
             log: Vec::new(),
             last_chosen: 0,
-        }
-    }
-
-    fn rotr(&self, x: u32, i: usize) -> u32 {
-        let i = i % self.l;
-        if i == 0 {
-            x
-        } else {
-            ((x >> i) | (x << (self.l - i))) & (self.n as u32 - 1)
         }
     }
 
@@ -146,10 +138,9 @@ impl AdaptiveRun {
         let elems: Vec<Element> = ops
             .iter()
             .enumerate()
-            .map(|(kk, &kind)| Element {
-                a: self.rotr(2 * kk as u32, h),
-                b: self.rotr(2 * kk as u32 + 1, h),
-                kind,
+            .map(|(kk, &kind)| {
+                let (a, b) = ShuffleNetwork::stage_pair(self.n, h, kk);
+                Element { a, b, kind }
             })
             .collect();
 
@@ -163,10 +154,10 @@ impl AdaptiveRun {
             debug_assert_eq!(e.a & low_mask, e.b & low_mask);
             gamma_of[(e.a & low_mask) as usize].push(*e);
         }
-        let mut new_fams = Vec::with_capacity(1usize << (self.l - h));
+        let mut new_masses = Vec::with_capacity(1usize << (self.l - h));
         let child_stride = 1u32 << (self.l - h + 1);
-        // Children are indexed by their fixed low l-h+1 bits in `fams`.
-        let mut old_fams = std::mem::take(&mut self.fams);
+        // Children are indexed by their fixed low l-h+1 bits in `masses`.
+        let old_masses = std::mem::take(&mut self.masses);
         for c in 0..1u32 << (self.l - h) {
             let cz = c;
             let co = c | (1u32 << (self.l - h));
@@ -174,19 +165,16 @@ impl AdaptiveRun {
                 (0..1u32 << (h - 1)).map(|j| cz + j * child_stride).collect();
             let one_wires: Vec<WireId> =
                 (0..1u32 << (h - 1)).map(|j| co + j * child_stride).collect();
-            let fam0 = std::mem::take(&mut old_fams[cz as usize]);
-            let fam1 = std::mem::take(&mut old_fams[co as usize]);
-            let fam = self.engine.process_node(
-                fam0,
-                fam1,
+            let mass = self.engine.process_node(
                 &zero_wires,
                 &one_wires,
                 &gamma_of[c as usize],
                 h,
+                (old_masses[cz as usize], old_masses[co as usize]),
             );
-            new_fams.push(fam);
+            new_masses.push(mass);
         }
-        self.fams = new_fams;
+        self.masses = new_masses;
 
         // Refresh the candidate order against the refined symbols, then
         // answer and advance the concrete value placement.
@@ -221,9 +209,8 @@ impl AdaptiveRun {
     /// Finishes a block: applies the family to the network-input pattern,
     /// collapses the frontier around the chosen set, and re-arms the engine.
     fn end_block(&mut self) {
-        debug_assert_eq!(self.fams.len(), 1);
-        let family = std::mem::take(&mut self.fams[0]);
-        self.apply_block_result(family);
+        debug_assert_eq!(self.masses.len(), 1);
+        self.apply_block_result(self.engine.family(0..self.n as WireId));
         // Reset block state.
         self.stage_in_block = 0;
         let frontier = self.engine.tracer.frontier();
@@ -234,7 +221,7 @@ impl AdaptiveRun {
         for (w, &v) in self.val_at.iter().enumerate() {
             self.entry_start[v as usize] = w as WireId;
         }
-        self.fams = (0..self.n as WireId).map(|w| self.engine.leaf_family(w)).collect();
+        self.masses = (0..self.n as WireId).map(|w| self.engine.leaf_mass(w)).collect();
         self.resort();
     }
 
@@ -266,19 +253,10 @@ impl AdaptiveRun {
     /// would be an adversary bug, not a builder win).
     pub fn finish(mut self) -> AdaptiveOutput {
         if self.stage_in_block > 0 {
-            // Union the remaining per-node families by symbol index: the
-            // nodes are wire-disjoint and the network has ended, so merged
-            // sets remain noncolliding.
-            let mut family = SetFamily::new();
-            for fam in std::mem::take(&mut self.fams) {
-                for (i, wires) in fam.iter() {
-                    let mut merged = family.take(i);
-                    merged.extend_from_slice(wires);
-                    merged.sort_unstable();
-                    family.put(i, merged);
-                }
-            }
-            self.apply_block_result(family);
+            // Union the current height's node families by symbol index:
+            // the nodes are wire-disjoint and the network has ended, so
+            // merged sets remain noncolliding.
+            self.apply_block_result(self.engine.family(0..self.n as WireId));
             self.resort();
         }
 
@@ -290,10 +268,9 @@ impl AdaptiveRun {
                 .iter()
                 .enumerate()
                 .filter(|(_, &kind)| kind != ElementKind::Pass)
-                .map(|(kk, &kind)| Element {
-                    a: self.rotr(2 * kk as u32, h),
-                    b: self.rotr(2 * kk as u32 + 1, h),
-                    kind,
+                .map(|(kk, &kind)| {
+                    let (a, b) = ShuffleNetwork::stage_pair(self.n, h, kk);
+                    Element { a, b, kind }
                 })
                 .collect();
             levels.push(Level::of_elements(elems));

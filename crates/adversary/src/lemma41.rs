@@ -22,7 +22,10 @@
 //! * evict `C_{j, j−i₀}` from the left sets — refinement step 2, parking
 //!   the evicted wires as `X_{j, j₀}` with a globally fresh `j₀` — and
 //!   shift the right sets up by `i₀` — refinement step 2′;
-//! * apply `Γ` to the tracer and merge the families.
+//! * apply `Γ` to the tracer; the families merge by themselves, because
+//!   the refined pattern is the set index (`M_i` is the wires carrying
+//!   `M_i`), so a node costs `O(|Γ|)`, plus `O(|Δ₁|)` when `i₀ > 0` —
+//!   `O(n·lg n)` per block.
 //!
 //! The tracer *panics* if two tracked tokens with equal symbols ever meet a
 //! comparator, so every run dynamically re-verifies the noncolliding
@@ -34,11 +37,27 @@ use snet_pattern::pattern::Pattern;
 use snet_pattern::symbol::Symbol;
 use snet_pattern::symbolic::Tracer;
 use snet_topology::{RdNode, ReverseDelta};
-use std::collections::{BTreeMap, HashMap};
 
 /// `t(l) = k³ + l·k²`, the number of sets after an `l`-level network.
 pub fn t_of(k: usize, l: usize) -> usize {
     k * k * k + l * k * k
+}
+
+/// Checks that Lemma 4.1 can run with parameter `k` on blocks of `levels`
+/// levels: `k ≥ 1`, and the `t(levels) = k³ + levels·k²` set indices fit
+/// a `u32`. Front ends check a requested `k` here before running the
+/// adversary (with `levels = lg n`).
+pub fn check_k(k: usize, levels: usize) -> Result<(), String> {
+    if k == 0 {
+        return Err("k must be at least 1".into());
+    }
+    let t = k.checked_mul(k).and_then(|k2| k2.checked_mul(k)?.checked_add(k2.checked_mul(levels)?));
+    match t {
+        Some(t) if t <= u32::MAX as usize => Ok(()),
+        _ => Err(format!(
+            "k = {k} is too large: t(lg n) = k³ + lg n·k² must fit a u32 set index (lg n = {levels})"
+        )),
+    }
 }
 
 /// How the matching offset `i₀` is chosen at each split node (the design
@@ -143,6 +162,12 @@ impl Lemma41Audit {
 
 /// The mutable state shared across a Lemma 4.1 run (and, for the adaptive
 /// game, across incremental level submissions).
+///
+/// The engine is wire-indexed: the refined pattern is the set index — a
+/// tracked token whose origin is `o` belongs to `M_i` exactly when
+/// `pat[o] = M_i` — so a node costs its `Γ`, plus one renaming pass over
+/// `Δ₁`'s wires when the matching offset is nonzero. The set family is
+/// materialized from the pattern once, when the run ends.
 #[derive(Debug)]
 pub struct Engine {
     k: usize,
@@ -155,6 +180,14 @@ pub struct Engine {
     next_xj: u32,
     /// Audit accumulator.
     pub audit: Lemma41Audit,
+    /// Reused per node: the tracked meetings at `Γ` as `(i, j, o)`, the
+    /// left token's origin `o` being a member of `C_{i,j}`.
+    meets: Vec<(u32, u32, WireId)>,
+    /// Reused per node: the meetings' offsets `i − j ∈ [0, k²)`.
+    offsets: Vec<u32>,
+    /// Reused per node: `(offset, |L_offset|)` for every offset with a
+    /// meeting, ascending.
+    losses: Vec<(u32, usize)>,
 }
 
 impl Engine {
@@ -169,6 +202,8 @@ impl Engine {
     pub fn with_config(pat: Pattern, cfg: &AdversaryConfig) -> Self {
         let k = cfg.k;
         assert!(k >= 1, "k must be positive");
+        let k2 = k.checked_mul(k).and_then(|k2| u32::try_from(k2).ok());
+        let k2 = k2.expect("k² must fit a u32 set index");
         for w in 0..pat.len() as WireId {
             let s = pat.get(w);
             assert!(
@@ -180,22 +215,31 @@ impl Engine {
         let tracer = Tracer::new(&pat, |s| s.is_m());
         Engine {
             k,
-            k2: (k * k) as u32,
+            k2,
             offset_policy: cfg.offset,
             pat,
             tracer,
             next_xj: 0,
             audit: Lemma41Audit { k, initial_mass, per_height: Vec::new() },
+            meets: Vec::new(),
+            offsets: Vec::new(),
+            losses: Vec::new(),
         }
     }
 
-    /// The leaf family for wire `w`: `{M_0 ↦ {w}}` if `w` carries `M_0`.
-    pub fn leaf_family(&self, w: WireId) -> SetFamily {
-        if self.pat.get(w) == Symbol::M(0) {
-            SetFamily::singleton(0, vec![w])
-        } else {
-            SetFamily::new()
-        }
+    /// The set mass of the leaf on wire `w`: 1 if `w` carries `M_0`.
+    pub fn leaf_mass(&self, w: WireId) -> usize {
+        usize::from(self.pat.get(w) == Symbol::M(0))
+    }
+
+    /// The set family over `wires`: `M_i` holds those carrying `M_i`.
+    pub fn family(&self, wires: impl IntoIterator<Item = WireId>) -> SetFamily {
+        let members = wires.into_iter().filter_map(|w| Some((self.pat.get(w).m_index()?, w)));
+        SetFamily::from_members(members)
+    }
+
+    fn set_of(&self, origin: WireId) -> u32 {
+        self.pat.get(origin).m_index().expect("tracked tokens are set members")
     }
 
     fn height_stats(&mut self, height: usize) -> &mut HeightStats {
@@ -205,110 +249,101 @@ impl Engine {
         &mut self.audit.per_height[height - 1]
     }
 
-    /// Processes one split node (the induction step): consumes the two
-    /// child families, performs the matching/eviction/renaming, applies
-    /// `Γ` to the tracer, and returns the merged family.
+    /// Processes one split node (the induction step): reads the collision
+    /// sets off `Γ`, performs the matching/eviction/renaming, and applies
+    /// `Γ` to the tracer.
     ///
-    /// `zero_wires`/`one_wires` are the subnetworks' (sorted) wire sets and
-    /// `height` is the node's height (its `Γ` is the `height`-th level).
+    /// `zero_wires`/`one_wires` are the subnetworks' (sorted) wire sets,
+    /// `height` is the node's height (its `Γ` is the `height`-th level),
+    /// and `masses` are the subnetworks' set masses `(|B₀|, |B₁|)`.
+    /// Returns the node's set mass.
     pub fn process_node(
         &mut self,
-        fam0: SetFamily,
-        fam1: SetFamily,
         zero_wires: &[WireId],
         one_wires: &[WireId],
         gamma: &[Element],
         height: usize,
-    ) -> SetFamily {
+        (mass0, mass1): (usize, usize),
+    ) -> usize {
         // --- Collision sets C_{i,j}, read positionally at Γ. ---
-        let idx0: HashMap<WireId, u32> =
-            fam0.iter().flat_map(|(i, ws)| ws.iter().map(move |&w| (w, i))).collect();
-        let idx1: HashMap<WireId, u32> =
-            fam1.iter().flat_map(|(i, ws)| ws.iter().map(move |&w| (w, i))).collect();
-        let mut c: BTreeMap<(u32, u32), Vec<WireId>> = BTreeMap::new();
-        let mut meets = 0usize;
+        self.meets.clear();
         let mut gamma_comparators = 0usize;
-        for e in gamma {
-            if !e.is_comparator() {
-                continue;
-            }
+        for e in gamma.iter().filter(|e| e.is_comparator()) {
             gamma_comparators += 1;
-            // Orient: w0 on the Δ₀ side, w1 on the Δ₁ side.
-            let (w0, w1) = if zero_wires.binary_search(&e.a).is_ok() {
-                (e.a, e.b)
+            let (Some(oa), Some(ob)) = (self.tracer.origin_at(e.a), self.tracer.origin_at(e.b))
+            else {
+                continue;
+            };
+            // Orient: o0 came from the Δ₀ side, o1 from the Δ₁ side.
+            let (o0, o1) = if zero_wires.binary_search(&e.a).is_ok() {
+                (oa, ob)
             } else {
                 debug_assert!(one_wires.binary_search(&e.a).is_ok());
-                (e.b, e.a)
+                (ob, oa)
             };
-            if let (Some(o0), Some(o1)) = (self.tracer.origin_at(w0), self.tracer.origin_at(w1)) {
-                // Tracked tokens are exactly the family members.
-                let i = *idx0.get(&o0).expect("left token belongs to a left set");
-                let j = *idx1.get(&o1).expect("right token belongs to a right set");
-                c.entry((i, j)).or_default().push(o0);
-                meets += 1;
-            }
+            let meet = (self.set_of(o0), self.set_of(o1), o0);
+            self.meets.push(meet);
         }
+        let meets = self.meets.len();
 
         // --- Offset choice (the averaging argument, improved to argmin). ---
-        let mut loss_by_offset: BTreeMap<u32, usize> = BTreeMap::new();
-        for (&(i, j), wires) in &c {
-            if i >= j && i - j < self.k2 {
-                *loss_by_offset.entry(i - j).or_default() += wires.len();
+        let k2 = self.k2;
+        self.offsets.clear();
+        self.offsets.extend(
+            self.meets.iter().filter(|&&(i, j, _)| i >= j && i - j < k2).map(|&(i, j, _)| i - j),
+        );
+        self.offsets.sort_unstable();
+        self.losses.clear();
+        for &off in &self.offsets {
+            match self.losses.last_mut() {
+                Some((last, loss)) if *last == off => *loss += 1,
+                _ => self.losses.push((off, 1)),
             }
         }
-        let loss_of = |off: u32| loss_by_offset.get(&off).copied().unwrap_or(0);
+        let losses = &self.losses;
+        let loss_of =
+            |off: u32| losses.binary_search_by_key(&off, |&(o, _)| o).map_or(0, |p| losses[p].1);
         let (i0, chosen_loss) = match self.offset_policy {
             OffsetPolicy::ArgMin => {
-                if (loss_by_offset.len() as u32) < self.k2 {
-                    let free = (0..self.k2)
-                        .find(|off| !loss_by_offset.contains_key(off))
-                        .expect("free offset");
-                    (free, 0usize)
+                if (losses.len() as u32) < k2 {
+                    // The smallest offset no meeting has.
+                    let free = (0..).zip(losses).find(|&(off, &(o, _))| o != off);
+                    (free.map_or(losses.len() as u32, |(off, _)| off), 0usize)
                 } else {
-                    let (&off, &l) =
-                        loss_by_offset.iter().min_by_key(|&(_, &l)| l).expect("nonempty");
+                    let &(off, l) = losses.iter().min_by_key(|&&(_, l)| l).expect("nonempty");
                     (off, l)
                 }
             }
             OffsetPolicy::FirstFeasible => {
-                let budget = fam0.mass() / (self.k2 as usize).max(1);
-                let off = (0..self.k2)
-                    .find(|&off| loss_of(off) <= budget)
-                    .expect("averaging guarantees a feasible offset");
+                let budget = mass0 / (k2 as usize).max(1);
+                // An offset no meeting has costs nothing.
+                let mut off = 0;
+                for &(o, loss) in losses {
+                    if o > off || loss <= budget {
+                        break;
+                    }
+                    off = o + 1;
+                }
+                assert!(off < k2, "averaging guarantees a feasible offset");
                 (off, loss_of(off))
             }
             OffsetPolicy::AlwaysZero => (0, loss_of(0)),
         };
         debug_assert!(
-            self.offset_policy == OffsetPolicy::AlwaysZero
-                || chosen_loss * (self.k2 as usize) <= fam0.mass(),
-            "averaging guarantee violated: loss {} > |B0|/k² = {}/{}",
-            chosen_loss,
-            fam0.mass(),
-            self.k2
+            self.offset_policy == OffsetPolicy::AlwaysZero || chosen_loss * (k2 as usize) <= mass0,
+            "averaging guarantee violated: loss {chosen_loss} > |B0|/k² = {mass0}/{k2}"
         );
 
         // --- Refinement step 2: evict C_{i, i−i0} from the left sets. ---
         let j0 = self.next_xj;
         self.next_xj += 1;
-        let mut fam_new = SetFamily::new();
-        for (i, wires) in fam0.iter() {
-            let evicted: &[WireId] =
-                if i >= i0 { c.get(&(i, i - i0)).map(Vec::as_slice).unwrap_or(&[]) } else { &[] };
-            if evicted.is_empty() {
-                fam_new.put(i, wires.to_vec());
-                continue;
-            }
-            let evict_set: std::collections::BTreeSet<WireId> = evicted.iter().copied().collect();
-            for &w in &evict_set {
-                self.pat.set(w, Symbol::X(i, j0));
-                let pos = self.tracer.position_of(w).expect("set members are tracked");
+        for &(i, j, origin) in &self.meets {
+            if i >= i0 && i - i0 == j {
+                self.pat.set(origin, Symbol::X(i, j0));
+                let pos = self.tracer.position_of(origin).expect("set members are tracked");
                 self.tracer.set_symbol_at(pos, Symbol::X(i, j0));
-                self.tracer.untrack_origin(w);
+                self.tracer.untrack_origin(origin);
             }
-            let survivors: Vec<WireId> =
-                wires.iter().copied().filter(|w| !evict_set.contains(w)).collect();
-            fam_new.put(i, survivors);
         }
 
         // --- Refinement step 2′: shift the right side up by i0. ---
@@ -324,15 +359,6 @@ impl Engine {
             self.tracer.rename_at(one_wires, shift);
         }
 
-        // --- Merge the right family into the left survivors. ---
-        for (j, wires) in fam1.iter() {
-            let target = j + i0;
-            let mut merged = fam_new.take(target);
-            merged.extend_from_slice(wires);
-            merged.sort_unstable();
-            fam_new.put(target, merged);
-        }
-
         // --- Apply Γ to the frontier; all meetings must now be determined.
         for e in gamma {
             let out = self.tracer.apply_element(e, |_| {});
@@ -342,12 +368,14 @@ impl Engine {
         // --- Bound check: indices stay below t(height) (Lemma 4.1
         //     property (1) precondition for the next level up). ---
         debug_assert!(
-            fam_new.max_index().is_none_or(|i| (i as usize) < t_of(self.k, height)),
+            zero_wires.iter().chain(one_wires).all(|&w| {
+                self.pat.get(w).m_index().is_none_or(|i| (i as usize) < t_of(self.k, height))
+            }),
             "set index exceeded t(l)"
         );
 
         // --- Audit. ---
-        let mass_after = fam_new.mass();
+        let mass_after = mass0 - chosen_loss + mass1;
         let stats = self.height_stats(height);
         stats.nodes += 1;
         stats.gamma_comparators += gamma_comparators;
@@ -357,17 +385,17 @@ impl Engine {
             stats.zero_loss_nodes += 1;
         }
         stats.mass_after += mass_after;
-        fam_new
+        mass_after
     }
 
-    /// Runs the full induction over a reverse-delta recursion tree.
-    pub fn run_tree(&mut self, node: &RdNode) -> SetFamily {
+    /// Runs the full induction over a reverse-delta recursion tree and
+    /// returns the root's set mass.
+    pub fn run_tree(&mut self, node: &RdNode) -> usize {
         match node {
-            RdNode::Leaf(w) => self.leaf_family(*w),
+            RdNode::Leaf(w) => self.leaf_mass(*w),
             RdNode::Split { zero, one, gamma, height, .. } => {
-                let fam0 = self.run_tree(zero);
-                let fam1 = self.run_tree(one);
-                self.process_node(fam0, fam1, &zero.wires(), &one.wires(), gamma, *height)
+                let masses = (self.run_tree(zero), self.run_tree(one));
+                self.process_node(zero.wires(), one.wires(), gamma, *height, masses)
             }
         }
     }
@@ -408,7 +436,8 @@ pub fn lemma41_with(delta: &ReverseDelta, p: &Pattern, cfg: &AdversaryConfig) ->
         .attr("k", cfg.k);
     let mut engine = Engine::with_config(p.clone(), cfg);
     span.add_attr("initial_mass", engine.audit.initial_mass);
-    let family = engine.run_tree(delta.root());
+    engine.run_tree(delta.root());
+    let family = engine.family(0..delta.wires() as WireId);
     let out = finish(engine, family, delta.levels(), cfg.is_admissible());
     span.add_attr("retained_mass", out.family.mass());
     span.add_attr("evicted", out.audit.total_loss());
@@ -424,16 +453,10 @@ pub fn lemma41_with(delta: &ReverseDelta, p: &Pattern, cfg: &AdversaryConfig) ->
 /// of a merged set still never meet inside the block.
 pub fn lemma41_forest(roots: &[&RdNode], p: &Pattern, k: usize, levels: usize) -> Lemma41Output {
     let mut engine = Engine::new(p.clone(), k);
-    let mut family = SetFamily::new();
     for root in roots {
-        let fam = engine.run_tree(root);
-        for (i, wires) in fam.iter() {
-            let mut merged = family.take(i);
-            merged.extend_from_slice(wires);
-            merged.sort_unstable();
-            family.put(i, merged);
-        }
+        engine.run_tree(root);
     }
+    let family = engine.family(roots.iter().flat_map(|root| root.wires().iter().copied()));
     finish(engine, family, levels, true)
 }
 
@@ -471,6 +494,19 @@ mod tests {
         for lgn in [4usize, 8, 16] {
             assert_eq!(t_of(lgn, lgn), 2 * lgn * lgn * lgn);
         }
+    }
+
+    #[test]
+    fn check_k_rejects_zero_and_set_indices_past_u32() {
+        assert!(check_k(1, 10).is_ok());
+        assert!(check_k(10, 10).is_ok());
+        assert!(check_k(0, 10).unwrap_err().contains("at least 1"));
+        // t(10) = 1622³ + 10·1622² = 4 293 602 688 fits a u32;
+        // 1623³ + 10·1623² = 4 301 532 657 does not.
+        assert!(check_k(1622, 10).is_ok());
+        assert!(check_k(1623, 10).unwrap_err().contains("u32"));
+        assert!(check_k(u32::MAX as usize, 10).is_err());
+        assert!(check_k(usize::MAX, 10).is_err(), "checked arithmetic, no overflow");
     }
 
     #[test]

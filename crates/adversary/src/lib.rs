@@ -7,7 +7,7 @@
 //! step executable:
 //!
 //! * [`lemma41`][mod@crate::lemma41] — the inductive set-maintenance construction (Lemma 4.1),
-//!   with a per-node [`lemma41::Engine`] shared by all drivers;
+//!   with a wire-indexed [`lemma41::Engine`] that every Lemma 4.1 run shares;
 //! * [`theorem41`][mod@crate::theorem41] — iteration over blocks (Theorem 4.1), with per-block
 //!   measured-vs-guaranteed statistics;
 //! * [`witness`] — Corollary 4.1.1: the self-verifying
@@ -46,9 +46,13 @@
 
 pub mod adaptive;
 pub mod certificate;
+#[cfg(test)]
+mod differential;
 pub mod lemma41;
 pub mod naive;
 pub mod oracle;
+#[cfg(test)]
+mod reference;
 pub mod setfam;
 pub mod theorem41;
 pub mod truncated;
@@ -56,7 +60,8 @@ pub mod witness;
 
 pub use certificate::LowerBoundCertificate;
 pub use lemma41::{
-    lemma41, lemma41_forest, lemma41_with, AdversaryConfig, Lemma41Output, OffsetPolicy, SetChoice,
+    check_k, lemma41, lemma41_forest, lemma41_with, AdversaryConfig, Lemma41Output, OffsetPolicy,
+    SetChoice,
 };
 pub use oracle::{DepthOracle, LayerModel};
 pub use theorem41::theorem41_with;

@@ -472,6 +472,7 @@ fn cmd_refute(args: &[String]) -> Result<(), String> {
     let ird = NetworkFile::load(path)?.adversary_input(path)?;
     let l = ird.wires().trailing_zeros() as usize;
     let k: usize = parse(flag(args, "--k").unwrap_or(&l.to_string()), "--k")?;
+    snet_adversary::check_k(k, l)?;
     let net = ird.to_network();
     let store = resolve_store(args)?;
     let hash = CanonicalHash::of_network(&net);
@@ -1374,8 +1375,10 @@ fn cmd_duel(args: &[String]) -> Result<(), String> {
     use snet_core::element::ElementKind;
     use std::io::BufRead;
     let n: usize = parse(flag(args, "--n").ok_or("duel requires --n")?, "--n")?;
+    snet_topology::ShuffleNetwork::try_new(n, Vec::new())?;
     let l = n.trailing_zeros() as usize;
     let k: usize = parse(flag(args, "--k").unwrap_or(&l.to_string()), "--k")?;
+    snet_adversary::check_k(k, l)?;
     println!(
         "adaptive duel on n = {n}: enter one stage per line as {} ops from {{+,-,0,1}} \
          (e.g. '++-0'), blank line or EOF to finish",
@@ -1424,6 +1427,7 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
     let ird = NetworkFile::load(path)?.adversary_input(path)?;
     let l = ird.wires().trailing_zeros() as usize;
     let k: usize = parse(flag(args, "--k").unwrap_or(&l.to_string()), "--k")?;
+    snet_adversary::check_k(k, l)?;
     let net = ird.to_network();
     let store = resolve_store(args)?;
     let hash = CanonicalHash::of_network(&net);

@@ -201,6 +201,30 @@ fn malformed_network_files_exit_1_without_panicking() {
 }
 
 #[test]
+fn out_of_range_adversary_parameters_exit_1_without_panicking() {
+    let f = tmpfile("adversary_k.json");
+    std::fs::write(&f, r#"{"type":"shuffle","n":4,"stages":[["Cmp","Cmp"],["Cmp","Cmp"]]}"#)
+        .unwrap();
+    let cert = tmpfile("unused_k_cert.json");
+    // k = 0, and a k whose t(lg n) = k³ + lg n·k² overflows a u32 set index
+    // (it used to wrap k² to 1); duel on a width no shuffle network has.
+    for (args, why) in [
+        (vec!["refute", &f, "--k", "0"], "at least 1"),
+        (vec!["refute", &f, "--k", "4294967295"], "u32"),
+        (vec!["certify", &f, "-o", &cert, "--k", "0"], "at least 1"),
+        (vec!["duel", "--n", "8", "--k", "0"], "at least 1"),
+        (vec!["duel", "--n", "8", "--k", "2000"], "u32"),
+        (vec!["duel", "--n", "6"], "n = 2^l"),
+    ] {
+        let out = snetctl(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert!(err.contains(why), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn gen_rejects_widths_its_kind_cannot_build() {
     let f = tmpfile("gen_width.json");
     for kind in ["bitonic", "odd-even", "periodic", "random-shuffle", "randomized", "random-ird"] {

@@ -817,14 +817,19 @@ impl JobManager {
             .map_err(ApiError::unprocessable)?;
         let l = n.trailing_zeros() as usize;
         let k = req.k.map(|k| k as usize).unwrap_or(l);
+        snet_adversary::check_k(k, l).map_err(ApiError::unprocessable)?;
         // The direct lowering hashes like the iterated reverse delta form
         // (pinned in e2e_canonical_hash.rs), which only a miss builds.
-        let net = shuffle.to_network();
+        let net = {
+            let _span = snet_obs::span("topology.lower").attr("form", "network");
+            shuffle.to_network()
+        };
         let hash = CanonicalHash::of_network(&net);
         if let Some(hit) = verdicts::lookup_witness(self.store(), &net, &hash) {
             return Ok(CheckAnswer::hit(hit, hash));
         }
         let (run, witness) = verdicts::compute_witness(self.store(), &net, &hash, k, || {
+            let _span = snet_obs::span("topology.lower").attr("form", "ird");
             shuffle.to_iterated_reverse_delta()
         })
         .map_err(|message| ApiError { status: 500, message })?;

@@ -667,6 +667,7 @@ fn method_not_allowed(w: &mut impl Write, meta: &mut ReqMeta) {
 }
 
 fn parse_body<T: serde::Deserialize>(req: &Request) -> Result<T, HttpError> {
+    let _span = snet_obs::span("api.parse").attr("bytes", req.body.len());
     let text = std::str::from_utf8(&req.body)
         .map_err(|_| HttpError { status: 400, message: "body is not UTF-8".into() })?;
     serde_json::from_str(text)

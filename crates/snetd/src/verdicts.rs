@@ -92,7 +92,10 @@ pub fn compute_witness(
 
 /// Encodes `verdict` once and writes exactly those bytes under its hash.
 pub fn persist(store: Option<&ArtifactStore>, verdict: Verdict) -> Served {
-    let bytes = verdict.to_json().into_bytes();
+    let bytes = {
+        let _span = snet_obs::span("verdict.encode");
+        verdict.to_json().into_bytes()
+    };
     let write_error = store.and_then(|s| s.put(&verdict.hash, KIND_VERDICT, &bytes).err());
     Served { verdict, bytes, write_error: write_error.map(|e| e.to_string()) }
 }

@@ -100,14 +100,6 @@ pub fn bitonic_flip(n: usize) -> ComparatorNetwork {
 pub fn bitonic_shuffle(n: usize) -> ShuffleNetwork {
     assert!(n.is_power_of_two() && n >= 2);
     let l = n.trailing_zeros() as usize;
-    let rotr = |x: u32, i: usize| -> u32 {
-        let i = i % l;
-        if i == 0 {
-            x
-        } else {
-            ((x >> i) | (x << (l - i))) & (n as u32 - 1)
-        }
-    };
     let mut stages: Vec<Vec<ElementKind>> = Vec::with_capacity(l * l);
     // Phase p ∈ 0..l sorts runs of length 2^{p+1}; it needs comparisons on
     // bits p, p-1, …, 0, which the shuffle's descending bit order reaches at
@@ -126,7 +118,7 @@ pub fn bitonic_shuffle(n: usize) -> ShuffleNetwork {
                     // on wires (rotr^i(2kk), rotr^i(2kk+1)); the first has
                     // bit q clear. Direction by bit `k` of that wire, min
                     // towards it when ascending — matching the circuit.
-                    let w = rotr(2 * kk as u32, i);
+                    let (w, _) = ShuffleNetwork::stage_pair(n, i, kk);
                     debug_assert_eq!(w & (1 << q), 0);
                     if (w as usize) & k == 0 {
                         ElementKind::Cmp

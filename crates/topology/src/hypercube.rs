@@ -16,7 +16,7 @@
 //! routes) into an [`IteratedReverseDelta`] ready for the adversary
 //! (Experiment E15).
 
-use crate::delta::{Block, DeltaError, IteratedReverseDelta, RdNode, ReverseDelta};
+use crate::delta::{bit_split_forest, Block, DeltaError, IteratedReverseDelta, ReverseDelta};
 use rand::Rng;
 use snet_core::element::{Element, ElementKind};
 use snet_core::perm::Permutation;
@@ -79,48 +79,20 @@ pub fn reverse_delta_from_dimensions(
     }
 
     // Per-level elements: level i pairs (w, w | bit) for w with the bit
-    // clear, pair index = rank of w among such wires.
-    let mut level_elems: Vec<Vec<Element>> = Vec::with_capacity(l);
-    for (i, &b) in block.bits.iter().enumerate() {
+    // clear, pair index = rank of w among such wires. The node of height m
+    // splits on bits[m-1].
+    let levels = block.bits.iter().zip(&block.kinds).map(|(&b, kinds)| {
         let bit = 1u32 << b;
-        let mut elems = Vec::with_capacity(n / 2);
-        let mut p = 0usize;
-        for w in 0..n as u32 {
-            if w & bit == 0 {
-                let kind = block.kinds[i][p];
-                p += 1;
-                if kind != ElementKind::Pass {
-                    elems.push(Element { a: w, b: w | bit, kind });
-                }
-            }
-        }
-        level_elems.push(elems);
-    }
-
-    // Tree: the node of height m splits on bits[m-1]; its fixed bits are
-    // the dimensions of all higher levels.
-    fn build(
-        bits: &[usize],
-        m: usize,
-        fixed_mask: u32,
-        fixed_bits: u32,
-        level_elems: &[Vec<Element>],
-    ) -> Result<RdNode, DeltaError> {
-        if m == 0 {
-            return Ok(RdNode::Leaf(fixed_bits));
-        }
-        let split_bit = 1u32 << bits[m - 1];
-        let zero = build(bits, m - 1, fixed_mask | split_bit, fixed_bits, level_elems)?;
-        let one = build(bits, m - 1, fixed_mask | split_bit, fixed_bits | split_bit, level_elems)?;
-        let gamma = level_elems[m - 1]
-            .iter()
-            .filter(|e| (e.a & fixed_mask) == fixed_bits)
-            .copied()
+        let elems = (0..n as u32)
+            .filter(|w| w & bit == 0)
+            .zip(kinds)
+            .filter(|&(_, &kind)| kind != ElementKind::Pass)
+            .map(|(w, &kind)| Element { a: w, b: w | bit, kind })
             .collect();
-        RdNode::split(zero, one, gamma)
-    }
-    let root = build(&block.bits, l, 0, 0, &level_elems)?;
-    ReverseDelta::new(root)
+        (b as u32, elems)
+    });
+    let mut roots = bit_split_forest(n, levels)?;
+    ReverseDelta::new(roots.pop().expect("distinct dimensions build one tree"))
 }
 
 /// Chains hypercube blocks into an iterated reverse delta network, with
@@ -245,6 +217,43 @@ mod tests {
                 }
             }
             assert_eq!(snet_core::ir::evaluate(&net, &input), direct);
+        }
+    }
+
+    #[test]
+    fn dimension_blocks_match_the_filtering_recursion() {
+        use crate::delta::reference::filtered_tree;
+        use rand::Rng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(18);
+        for l in 1..=8usize {
+            let n = 1 << l;
+            for _ in 0..4 {
+                let bits = schedules::random(l, &mut rng);
+                let mut block = DimensionBlock::random(n, bits.clone(), &mut rng);
+                for kind in block.kinds.iter_mut().flatten() {
+                    if rng.gen_bool(0.2) {
+                        *kind = ElementKind::Pass;
+                    }
+                }
+                // The per-level elements, as the recursion consumed them.
+                let levels: Vec<Vec<Element>> = (0..l)
+                    .map(|i| {
+                        let bit = 1u32 << bits[i];
+                        let mut elems = Vec::new();
+                        for (p, w) in (0..n as u32).filter(|w| w & bit == 0).enumerate() {
+                            let kind = block.kinds[i][p];
+                            if kind != ElementKind::Pass {
+                                elems.push(Element { a: w, b: w | bit, kind });
+                            }
+                        }
+                        elems
+                    })
+                    .collect();
+                let split_bit = |m: usize| 1u32 << bits[m - 1];
+                let expect = filtered_tree(&split_bit, l, 0, 0, &levels).unwrap();
+                let rdn = reverse_delta_from_dimensions(n, &block).unwrap();
+                assert_eq!(rdn.root(), &expect, "l={l} bits={bits:?}");
+            }
         }
     }
 

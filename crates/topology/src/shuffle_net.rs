@@ -10,7 +10,7 @@
 //! network of depth lg n").
 
 use crate::delta::{Block, IteratedReverseDelta, ReverseDelta};
-use snet_core::element::ElementKind;
+use snet_core::element::{ElementKind, WireId};
 use snet_core::network::ComparatorNetwork;
 use snet_core::perm::Permutation;
 use snet_core::register::{RegisterNetwork, RegisterStage};
@@ -52,6 +52,19 @@ impl ShuffleNetwork {
     /// of these form the canonical butterfly.
     pub fn all_plus(n: usize, d: usize) -> Self {
         Self::new(n, vec![vec![ElementKind::Cmp; n / 2]; d])
+    }
+
+    /// The wires, in the fixed frame of a block of `lg n` stages, that
+    /// in-block stage `i` (1-based) applies op `k` to: registers
+    /// `(2k, 2k+1)` sit on `(rotr^i(2k), rotr^i(2k+1))`, two wires
+    /// differing in bit `lg n − (i mod lg n)`.
+    pub fn stage_pair(n: usize, i: usize, k: usize) -> (WireId, WireId) {
+        let l = n.trailing_zeros() as usize;
+        let rotr = |x: u32| match i % l {
+            0 => x,
+            r => ((x >> r) | (x << (l - r))) & (n as u32 - 1),
+        };
+        (rotr(2 * k as u32), rotr(2 * k as u32 + 1))
     }
 
     /// Number of wires.

@@ -142,7 +142,7 @@ fn flipped_butterfly_recognizes_as_reverse_delta() {
         for e in gamma {
             assert_eq!(e.a ^ e.b, 1 << (l - 1));
         }
-        assert_eq!(zero.wires_vec().len(), 1 << (l - 1));
+        assert_eq!(zero.wires().len(), 1 << (l - 1));
     }
 }
 
