@@ -57,11 +57,6 @@ impl PassRecord {
     pub fn ops_eliminated(&self) -> usize {
         self.ops_before.saturating_sub(self.ops_after)
     }
-
-    /// Wall-clock cost of the pass in (truncated) microseconds.
-    pub fn micros(&self) -> u128 {
-        self.nanos / 1_000
-    }
 }
 
 /// An ordered pipeline of passes.

@@ -162,11 +162,6 @@ impl ZeroOneSet {
         self.iter().all(|x| self.index_is_sorted(x))
     }
 
-    /// Number of member vectors that are not sorted.
-    pub fn unsorted_len(&self) -> usize {
-        self.iter().filter(|&x| !self.index_is_sorted(x)).count()
-    }
-
     #[inline]
     fn index_is_sorted(&self, x: u64) -> bool {
         x == Self::sorted_index(self.n, x.count_ones() as usize)

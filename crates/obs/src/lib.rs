@@ -1,6 +1,6 @@
 //! `snet_obs` — structured observability for the workspace: spans,
-//! counters, gauges, a per-thread event buffer drained to pluggable
-//! [`Sink`]s, and a [`RunManifest`] recording what produced a run.
+//! counters, gauges, each event handed to pluggable [`Sink`]s as it is
+//! emitted, and a [`RunManifest`] recording what produced a run.
 //!
 //! Design constraints, in order:
 //!
@@ -13,10 +13,11 @@
 //!    exports encode, and traces and baselines parse, through the
 //!    vendored `serde_json` the rest of the workspace uses ([`json`]
 //!    holds the shared builders); the only other dependency is `serde`.
-//! 3. **Thread-aware.** Events buffer in a thread-local queue (no global
-//!    lock on the emit path until a drain), spans nest via a thread-local
-//!    stack, and cross-thread nesting (worker shards under a coordinator
-//!    span) is explicit via [`span_under`].
+//! 3. **Thread-aware.** Spans nest via a thread-local stack, and
+//!    cross-thread nesting (worker shards under a coordinator span) is
+//!    explicit via [`span_under`]. Sinks see every event when it is
+//!    emitted, so a coordinator's span start reaches them before any
+//!    event of the workers it spawns.
 //!
 //! Three service-grade layers sit on the same event stream:
 //!
@@ -82,40 +83,15 @@ static NEXT_SPAN: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
 static EPOCH: LazyLock<Instant> = LazyLock::new(Instant::now);
 
-/// Events buffered per thread before a drain grabs the sink lock.
-const BUFFER_CAPACITY: usize = 128;
-
-/// Every live thread's event buffer. [`flush`] drains them all, so a
-/// process-exit (or panic-hook) flush cannot lose events buffered by
-/// worker threads that are still alive — only the owning thread pushes,
-/// so a `try_lock` here contends only with that thread mid-emit.
-static BUFFERS: Mutex<Vec<std::sync::Weak<Mutex<Vec<Event>>>>> = Mutex::new(Vec::new());
-
 struct ThreadState {
     ordinal: u64,
-    buf: Arc<Mutex<Vec<Event>>>,
     stack: Vec<u64>,
 }
 
-impl Drop for ThreadState {
-    fn drop(&mut self) {
-        if let Ok(mut buf) = self.buf.try_lock() {
-            let mut events = std::mem::take(&mut *buf);
-            drop(buf);
-            drain(&mut events);
-        }
-    }
-}
-
 thread_local! {
-    static TLS: RefCell<ThreadState> = RefCell::new({
-        let buf: Arc<Mutex<Vec<Event>>> = Arc::new(Mutex::new(Vec::new()));
-        BUFFERS.lock().unwrap_or_else(|p| p.into_inner()).push(Arc::downgrade(&buf));
-        ThreadState {
-            ordinal: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
-            buf,
-            stack: Vec::new(),
-        }
+    static TLS: RefCell<ThreadState> = RefCell::new(ThreadState {
+        ordinal: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
+        stack: Vec::new(),
     });
 }
 
@@ -145,11 +121,6 @@ pub fn disable_flight() {
     flight::set_on(false);
 }
 
-/// True iff the flight recorder is capturing.
-pub fn flight_enabled() -> bool {
-    flight::is_on()
-}
-
 /// Records one sample into a labeled registry histogram (e.g. per-pass
 /// timings under `{pass="..."}`). Registry-only: labeled series have no
 /// event-stream equivalent. No-op when observation is disabled.
@@ -170,15 +141,6 @@ pub fn counter_labeled(name: &str, labels: &[(&str, &str)], delta: u64) {
     registry::record_counter_labeled(name, labels, delta as f64);
 }
 
-/// Sets a labeled registry gauge (e.g. the in-flight request gauge).
-/// Registry-only, like [`observe`]. No-op when disabled.
-pub fn gauge_labeled(name: &str, labels: &[(&str, &str)], value: f64) {
-    if !enabled() {
-        return;
-    }
-    registry::record_gauge_labeled(name, labels, value);
-}
-
 /// Microseconds since the process-wide observation epoch (first use).
 pub fn now_us() -> u64 {
     EPOCH.elapsed().as_micros() as u64
@@ -191,9 +153,9 @@ pub struct SinkHandle(u64);
 /// Installs a sink and enables event emission. Returns a handle for
 /// targeted removal.
 ///
-/// The first installation also chains a panic hook that flushes the
-/// calling thread's buffer and every sink, so a panicking run still
-/// leaves a parseable (truncated-but-valid) trace file.
+/// The first installation also chains a panic hook that flushes every
+/// sink, so a panicking run still leaves a parseable
+/// (truncated-but-valid) trace file.
 pub fn install_sink(sink: Arc<dyn Sink>) -> SinkHandle {
     install_panic_flush_hook();
     let id = NEXT_SINK.fetch_add(1, Ordering::Relaxed);
@@ -203,8 +165,8 @@ pub fn install_sink(sink: Arc<dyn Sink>) -> SinkHandle {
     SinkHandle(id)
 }
 
-/// Chains the previous panic hook with a [`flush`] (so buffered events
-/// reach their sinks) and a flight dump (so the ring contents survive
+/// Chains the previous panic hook with a [`flush`] (so file sinks write
+/// out what they hold) and a flight dump (so the ring contents survive
 /// the death). Installed once, by the first [`install_sink`] or
 /// [`enable_flight`]; a fully disabled process never touches the hook.
 fn install_panic_flush_hook() {
@@ -236,49 +198,21 @@ pub fn remove_sink(handle: SinkHandle) {
     }
 }
 
-/// Drains every registered thread buffer — not just the caller's — and
-/// flushes every sink. Call once before process exit so buffered JSONL
-/// lines hit the file even from worker threads that are still alive.
+/// Flushes every sink. Call once before process exit so a file sink's
+/// buffered lines reach the disk, from whichever threads emitted them.
 ///
-/// Safe to call from a panic hook or thread-local destructor: buffers
-/// are taken with `try_lock` (a thread wedged mid-emit is skipped, not
-/// deadlocked) and a poisoned sink registry is read through anyway
-/// (sinks are append-only, so the data is still coherent).
+/// Safe to call from a panic hook: a poisoned sink registry is read
+/// through anyway (sinks are append-only, so the data is still
+/// coherent).
 pub fn flush() {
-    let buffers: Vec<Arc<Mutex<Vec<Event>>>> = {
-        let mut registered = BUFFERS.lock().unwrap_or_else(|p| p.into_inner());
-        registered.retain(|w| w.strong_count() > 0);
-        registered.iter().filter_map(|w| w.upgrade()).collect()
-    };
-    for buf in buffers {
-        if let Ok(mut guard) = buf.try_lock() {
-            let mut events = std::mem::take(&mut *guard);
-            drop(guard);
-            drain(&mut events);
-        }
-    }
     let sinks = SINKS.read().unwrap_or_else(|p| p.into_inner());
     for (_, sink) in sinks.iter() {
         sink.flush();
     }
 }
 
-fn drain(buf: &mut Vec<Event>) {
-    if buf.is_empty() {
-        return;
-    }
-    let sinks = SINKS.read().unwrap_or_else(|p| p.into_inner());
-    for e in buf.drain(..) {
-        for (_, sink) in sinks.iter() {
-            sink.event(&e);
-        }
-    }
-}
-
 /// Records an event: appends it to the flight ring (when recording),
-/// then queues it on the calling thread's sink buffer; the buffer
-/// drains when it fills or the event is latency-sensitive (gauges drive
-/// live progress displays; manifests must lead the trace file).
+/// then hands it to every installed sink on the emitting thread.
 pub(crate) fn emit_event(e: Event) {
     let sinks_on = ENABLED.load(Ordering::Relaxed);
     let flight_on = flight::is_on();
@@ -292,30 +226,10 @@ pub(crate) fn emit_event(e: Event) {
         flight::record(&e);
     }
     if sinks_on {
-        // SpanEnds drain eagerly, not just for latency: `thread::scope`
-        // returns when the spawned *closures* finish, while thread-local
-        // destructors run later during OS-thread teardown — a buffer
-        // drained only by the TLS destructor can miss the coordinator's
-        // snapshot. Spans mark phase boundaries, so their ends are
-        // natural batch edges.
-        let urgent = matches!(
-            e.kind,
-            EventKind::SpanEnd | EventKind::Gauge | EventKind::Hist | EventKind::Manifest
-        );
-        let mut spill: Vec<Event> = Vec::new();
-        let _ = TLS.try_with(|tls| {
-            let Ok(st) = tls.try_borrow() else {
-                return;
-            };
-            let Ok(mut buf) = st.buf.try_lock() else {
-                return; // re-entrant emit from inside a drain: drop it
-            };
-            buf.push(e);
-            if urgent || buf.len() >= BUFFER_CAPACITY {
-                spill = std::mem::take(&mut *buf);
-            }
-        });
-        drain(&mut spill);
+        let sinks = SINKS.read().unwrap_or_else(|p| p.into_inner());
+        for (_, sink) in sinks.iter() {
+            sink.event(&e);
+        }
     }
     flight::fault_tick();
 }
@@ -534,8 +448,8 @@ pub fn counter(name: &'static str, delta: u64) {
     emit_event(e);
 }
 
-/// Records a gauge sample (last value wins in reports). Gauges drain
-/// immediately — they drive live progress sinks.
+/// Records a gauge sample (last value wins in reports); `*.progress`
+/// gauges drive live progress sinks.
 pub fn gauge(name: &'static str, value: f64) {
     gauge_with(name, value, Vec::new());
 }
@@ -693,9 +607,9 @@ mod tests {
         let handle =
             install_sink(Arc::new(JsonlSink::create(&path_str).expect("create trace file")));
         let result = std::panic::catch_unwind(|| {
-            // No enclosing span on purpose: counters are buffered
-            // (non-urgent), so only the panic-hook flush can get this
-            // increment to disk before the "process" dies.
+            // The sink holds this line in its write buffer; only the
+            // panic hook's flush can get it to disk before the
+            // "process" dies.
             counter("work.before_panic", 3);
             panic!("injected failure");
         });
@@ -710,12 +624,10 @@ mod tests {
 
     #[test]
     fn flush_drains_buffers_of_threads_still_alive() {
-        // Regression: counters are non-urgent and sit in their thread's
-        // buffer; a process-exit flush from the main thread used to
-        // drain only its own buffer, losing everything buffered by
-        // workers that had not yet torn down. The workers here are
-        // parked on a barrier — alive, buffers undrained — when the
-        // main thread flushes.
+        // Workers that are still alive — parked on a barrier — have
+        // emitted into a file sink whose write buffer holds their lines;
+        // a process-exit flush from the main thread must get those
+        // lines to disk.
         let dir = std::env::temp_dir().join("snet-obs-tests");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("live-thread-flush.jsonl");
@@ -741,7 +653,7 @@ mod tests {
             let report = report::parse_trace(&text).expect("flushed trace parses");
             assert_eq!(
                 report.counters["live.worker.buffered"].total, 2.0,
-                "flush must drain buffers of threads that are still alive"
+                "flush must write out the lines of threads that are still alive"
             );
             release.wait();
         });

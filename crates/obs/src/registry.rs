@@ -207,11 +207,7 @@ pub(crate) fn record_counter_labeled(dotted: &str, labels: &[(&str, &str)], delt
 }
 
 pub(crate) fn record_gauge(dotted: &str, sample: f64) {
-    record_gauge_labeled(dotted, &[], sample);
-}
-
-pub(crate) fn record_gauge_labeled(dotted: &str, labels: &[(&str, &str)], sample: f64) {
-    with_cell(dotted, MetricKind::Gauge, labels, |v| {
+    with_cell(dotted, MetricKind::Gauge, &[], |v| {
         if let Value::Gauge(g) = v {
             *g = sample;
         }
@@ -245,19 +241,6 @@ pub fn counter_value(dotted: &str) -> Option<f64> {
         Value::Counter(total) if labels.is_empty() => Some(*total),
         _ => None,
     })
-}
-
-/// The accumulated total of the labeled counter series matching exactly
-/// `labels` (order-insensitive), or `None` if never touched.
-pub fn counter_value_labeled(dotted: &str, labels: &[(&str, &str)]) -> Option<f64> {
-    let name = prom_name(dotted, MetricKind::Counter);
-    let reg = REGISTRY.lock().unwrap_or_else(|p| p.into_inner());
-    let cell = reg.get(&name)?;
-    let (_, v) = cell.samples.get(&label_sig(labels))?;
-    match v {
-        Value::Counter(total) => Some(*total),
-        _ => None,
-    }
 }
 
 /// A consistent copy of every registered family, sorted by name.

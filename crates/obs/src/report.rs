@@ -47,7 +47,7 @@ pub struct Report {
     /// Winning gauge value by name. "Last value wins" is decided by the
     /// deterministic `(t_us, thread)` key, not file order, so gauges
     /// reported from multiple threads merge the same way no matter how
-    /// the emitting threads' drains interleaved in the trace file.
+    /// the emitting threads' events interleaved in the trace file.
     pub gauges: BTreeMap<String, f64>,
     /// Histogram snapshots by name (same-name snapshots merge).
     pub hists: BTreeMap<String, HistSnapshot>,
@@ -67,19 +67,6 @@ impl Report {
             nodes.iter().any(|n| n.name == name || walk(&n.children, name))
         }
         walk(&self.roots, name)
-    }
-
-    /// All span names in the forest, pre-order, with duplicates.
-    pub fn span_names(&self) -> Vec<String> {
-        fn walk(nodes: &[SpanNode], out: &mut Vec<String>) {
-            for n in nodes {
-                out.push(n.name.clone());
-                walk(&n.children, out);
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.roots, &mut out);
-        out
     }
 }
 
@@ -132,8 +119,8 @@ pub fn summarize(events: Vec<Event>) -> Report {
     // id → finished span (start, dur, name, parent, thread, attrs).
     let mut ended: Vec<Event> = Vec::new();
     // Deterministic "last value wins" for gauges: keyed by
-    // `(t_us, thread)`, not line order (which depends on per-thread
-    // buffer drain scheduling).
+    // `(t_us, thread)`, not line order (which depends on how the
+    // emitting threads were scheduled).
     let mut gauge_keys: BTreeMap<String, (u64, u64)> = BTreeMap::new();
     for ev in events {
         report.events += 1;
@@ -406,7 +393,7 @@ mod tests {
     #[test]
     fn gauge_merge_is_deterministic_across_line_orders() {
         // Three threads report the same gauge; the trace file order of
-        // the lines depends on per-thread drain scheduling. The winner
+        // the lines depends on thread scheduling. The winner
         // must be the maximal (t_us, thread) key in every ordering.
         let mut gauges = Vec::new();
         for (thread, t_us, value) in [(0u64, 50u64, 0.1f64), (2, 90, 0.7), (1, 90, 0.5)] {

@@ -5,9 +5,10 @@ use std::io::Write;
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// Receives drained events. Implementations must be cheap and must not
-/// call back into the observation API (events emitted from inside a sink
-/// would deadlock the drain).
+/// Receives every event when it is emitted, on the emitting thread.
+/// Implementations must be cheap and must not call back into the
+/// observation API (an event emitted from inside a sink would re-enter
+/// every sink while the sink registry is locked).
 pub trait Sink: Send + Sync {
     /// Handles one event.
     fn event(&self, e: &Event);

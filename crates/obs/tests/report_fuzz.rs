@@ -63,10 +63,11 @@ fn gen_forest(seed: u64) -> Vec<GenSpan> {
             ended: rng.below(8) != 0,
         });
     }
-    // Truncation is independent per span on purpose: per-thread buffers
-    // mean a crash can lose a parent's end event while a child's (from
-    // another thread) survives, which is exactly the orphan-promotion
-    // case the reconstructor must handle.
+    // Truncation is independent per span on purpose: a crash loses the
+    // end of every span still open, and each thread's flight ring drops
+    // its own oldest events, so a parent's end event can be missing
+    // while a child's (from another thread) survives — exactly the
+    // orphan-promotion case the reconstructor must handle.
     spans
 }
 
@@ -218,9 +219,9 @@ proptest! {
             prop_assert!(rendered.contains(&format!("span{}", s.id)));
         }
 
-        // Adversarial interleavings: shuffled whole-trace order, and a
-        // "per-thread drain" order (each thread's events stay in order,
-        // threads interleave randomly) — both must match the reference.
+        // Adversarial interleavings: whole-trace shuffles, which cover
+        // every way the threads' events can interleave in a file — each
+        // must match the reference.
         let mut rng = Lcg(seed ^ 0x9e3779b97f4a7c15);
         for _ in 0..4 {
             let mut shuffled = events.clone();

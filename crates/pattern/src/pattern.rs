@@ -54,11 +54,6 @@ impl Pattern {
         &self.syms
     }
 
-    /// Mutable access to the symbol slice.
-    pub fn symbols_mut(&mut self) -> &mut [Symbol] {
-        &mut self.syms
-    }
-
     /// The `[P]`-set of this pattern: all wires carrying `sym`.
     pub fn symbol_set(&self, sym: Symbol) -> Vec<WireId> {
         self.syms.iter().enumerate().filter(|(_, &s)| s == sym).map(|(w, _)| w as WireId).collect()

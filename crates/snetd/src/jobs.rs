@@ -23,15 +23,18 @@
 //!
 //! ## Progress capture
 //!
-//! One process-global [`Sink`] is installed for the daemon's lifetime.
-//! Job worker threads register their obs thread ordinal in a routing
-//! table; the sink forwards that thread's events to the owning job's
-//! [`JobObs`], where span ends named `ir.compile` are counted (the
-//! compile-once proof surfaced in the job result) and selected counters
-//! become ND-JSON [`ProgressFrame`]s for streaming clients. The sink
-//! never calls back into the obs API.
+//! The manager installs the daemon's one obs sink, a [`TraceCapture`],
+//! and keeps it installed until its last clone drops (see
+//! [`telemetry`](crate::telemetry) for how it routes). A check leader's
+//! thread, around its compute, and a search job's thread, around the
+//! search, attach their job: the sink hands what that thread emits to
+//! the job's [`JobObs`], where span ends named `ir.compile` are counted
+//! (the compile-once proof surfaced in the job result) and selected
+//! counters become ND-JSON [`ProgressFrame`]s for streaming clients.
+//! Jobs are routed by thread only; their workers' events reach the
+//! request trace but not the job.
 
-use crate::telemetry::RequestCtx;
+use crate::telemetry::{RequestCtx, TraceCapture};
 use crate::verdicts::{self, Served};
 use serde::{Serialize, Value};
 use snet_core::api::{AdversaryRequest, ProgressFrame, SearchRequest};
@@ -40,7 +43,7 @@ use snet_core::ir::{CanonicalHash, Executor};
 use snet_core::network::ComparatorNetwork;
 use snet_core::verdict::Verdict;
 use snet_obs::json::obj;
-use snet_obs::{Event, EventKind, RunManifest, Sink, SinkHandle};
+use snet_obs::{Event, EventKind, RunManifest, SinkHandle};
 use snet_search::{search, CancelToken, SearchConfig, SearchMode, SearchOutcome};
 use snet_store::ArtifactStore;
 use std::collections::{HashMap, VecDeque};
@@ -146,7 +149,8 @@ struct ObsQueue {
 }
 
 /// A job's progress capture: the ND-JSON frame queue streaming clients
-/// drain, plus the `ir.compile` span counter the routing sink maintains.
+/// drain, plus the `ir.compile` span counter, both fed by the capture
+/// sink from the job's own thread.
 pub struct JobObs {
     job_id: String,
     trace: Option<String>,
@@ -157,7 +161,7 @@ pub struct JobObs {
 }
 
 impl JobObs {
-    fn new(job_id: &str, trace: Option<String>) -> Arc<JobObs> {
+    pub(crate) fn new(job_id: &str, trace: Option<String>) -> Arc<JobObs> {
         Arc::new(JobObs {
             job_id: job_id.to_string(),
             trace,
@@ -217,6 +221,20 @@ impl JobObs {
         }
     }
 
+    /// Takes one event from the job's thread: counts `ir.compile` span
+    /// ends and turns frame-worthy counters into frames.
+    pub(crate) fn record(&self, e: &Event) {
+        match e.kind {
+            EventKind::SpanEnd if e.name == "ir.compile" => {
+                self.compile_spans.fetch_add(1, Ordering::Relaxed);
+            }
+            EventKind::Counter if frame_worthy(&e.name) => {
+                self.push(FrameKind::Event { name: e.name.clone(), value: e.value as u64 });
+            }
+            _ => {}
+        }
+    }
+
     /// `ir.compile` span ends attributed to this job so far.
     pub fn compile_spans(&self) -> u64 {
         self.compile_spans.load(Ordering::Relaxed)
@@ -243,56 +261,6 @@ fn frame_worthy(name: &str) -> bool {
             | "search.cancelled"
             | "check.inputs"
     )
-}
-
-/// Routing table: obs thread ordinal → the job capturing that thread.
-type Routes = Mutex<HashMap<u64, Arc<JobObs>>>;
-
-/// The process-global sink. Forwards each event to the job (if any) that
-/// registered the emitting thread's ordinal. Must not call back into the
-/// obs API (that would deadlock the drain), and it does not: it only
-/// touches its own mutexes.
-struct JobSink {
-    routes: Arc<Routes>,
-}
-
-impl Sink for JobSink {
-    fn event(&self, e: &Event) {
-        let target = {
-            let routes = self.routes.lock().expect("job routes poisoned");
-            routes.get(&e.thread).cloned()
-        };
-        let Some(obs) = target else { return };
-        match e.kind {
-            EventKind::SpanEnd if e.name == "ir.compile" => {
-                obs.compile_spans.fetch_add(1, Ordering::Relaxed);
-            }
-            EventKind::Counter if frame_worthy(&e.name) => {
-                obs.push(FrameKind::Event { name: e.name.clone(), value: e.value as u64 });
-            }
-            _ => {}
-        }
-    }
-}
-
-/// RAII registration of the current thread's events to a job.
-struct RouteGuard {
-    routes: Arc<Routes>,
-    ordinal: u64,
-}
-
-impl RouteGuard {
-    fn register(routes: &Arc<Routes>, obs: &Arc<JobObs>) -> RouteGuard {
-        let ordinal = snet_obs::thread_ordinal();
-        routes.lock().expect("job routes poisoned").insert(ordinal, obs.clone());
-        RouteGuard { routes: routes.clone(), ordinal }
-    }
-}
-
-impl Drop for RouteGuard {
-    fn drop(&mut self) {
-        self.routes.lock().expect("job routes poisoned").remove(&self.ordinal);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -467,7 +435,7 @@ struct JobTable {
 
 struct ManagerInner {
     cfg: JobsConfig,
-    routes: Arc<Routes>,
+    capture: Arc<TraceCapture>,
     sink: SinkHandle,
     jobs: Mutex<JobTable>,
     in_flight: Mutex<HashMap<CanonicalHash, Arc<InFlight>>>,
@@ -478,6 +446,14 @@ struct ManagerInner {
     slot_cv: Condvar,
 }
 
+impl Drop for ManagerInner {
+    fn drop(&mut self) {
+        // The last clone is gone, connection workers' included, so no
+        // request can still be routing through the sink.
+        snet_obs::remove_sink(self.sink);
+    }
+}
+
 /// The service's job manager; cheap to clone, one per daemon.
 #[derive(Clone)]
 pub struct JobManager {
@@ -485,16 +461,16 @@ pub struct JobManager {
 }
 
 impl JobManager {
-    /// Builds the manager and installs the process-global routing sink
-    /// (enabling obs emission — and with it the Prometheus registry
-    /// mirror — for the daemon's lifetime).
+    /// Builds the manager and installs its capture sink, which stays
+    /// installed (enabling obs emission — and with it the Prometheus
+    /// registry mirror) until the manager's last clone drops.
     pub fn new(cfg: JobsConfig) -> JobManager {
-        let routes: Arc<Routes> = Arc::new(Mutex::new(HashMap::new()));
-        let sink = snet_obs::install_sink(Arc::new(JobSink { routes: routes.clone() }));
+        let capture = TraceCapture::new();
+        let sink = snet_obs::install_sink(capture.clone());
         JobManager {
             inner: Arc::new(ManagerInner {
                 cfg,
-                routes,
+                capture,
                 sink,
                 jobs: Mutex::new(JobTable::default()),
                 in_flight: Mutex::new(HashMap::new()),
@@ -509,6 +485,11 @@ impl JobManager {
     /// The configured artifact store, if any.
     pub fn store(&self) -> Option<&ArtifactStore> {
         self.inner.cfg.store.as_ref()
+    }
+
+    /// The capture sink, for routing request threads to their traces.
+    pub(crate) fn capture(&self) -> &Arc<TraceCapture> {
+        &self.inner.capture
     }
 
     fn create_job(&self, kind: &'static str, ctx: &RequestCtx) -> Result<Arc<Job>, ApiError> {
@@ -617,7 +598,7 @@ impl JobManager {
         // completion becomes a store hit, not a stale follower.
         let outcome = match self.create_job("check", ctx) {
             Ok(job) => {
-                let out = self.run_check_leader(&job, net, &hash);
+                let out = self.run_check_leader(&job, net, &hash, ctx);
                 out.map(|body| (body, Some(job.id.clone()), ctx.trace_hex.clone()))
             }
             Err(e) => Err(e.message),
@@ -633,9 +614,10 @@ impl JobManager {
         job: &Arc<Job>,
         net: &ComparatorNetwork,
         hash: &CanonicalHash,
+        ctx: &RequestCtx,
     ) -> Result<Vec<u8>, String> {
         job.set_running();
-        let guard = RouteGuard::register(&self.inner.routes, &job.obs);
+        let guard = self.capture().attach(ctx.trace.as_ref(), Some(&job.obs));
         let threads = self.inner.cfg.check_threads.max(1);
         let computed = catch_unwind(AssertUnwindSafe(|| {
             // The one `ir.compile` span.
@@ -750,7 +732,7 @@ impl JobManager {
         // into the submitting request's trace for the job's duration,
         // and nest everything it emits under the request span so the
         // stored tree reads client → request → job.
-        let _trace_guard = ctx.attach();
+        let _trace_guard = self.capture().attach(ctx.trace.as_ref(), None);
         let _job_span = snet_obs::span_under("job.run", ctx.span).attr("job", &job.id);
         // Queue for a slot; shutdown cancels queued jobs instead of
         // starting them.
@@ -772,7 +754,7 @@ impl JobManager {
         snet_obs::gauge("jobs.running", running as f64);
         job.set_running();
         cfg.cancel = Some(job.cancel.clone());
-        let guard = RouteGuard::register(&self.inner.routes, &job.obs);
+        let guard = self.capture().attach(ctx.trace.as_ref(), Some(&job.obs));
         let outcome = catch_unwind(AssertUnwindSafe(|| search(&cfg)));
         drop(guard);
         match outcome {
@@ -860,7 +842,9 @@ impl JobManager {
 
     /// Graceful drain: stop accepting work, cancel every live job (their
     /// workers observe the token, spill their TT frontiers, and finish),
-    /// join all job threads, then uninstall the sink and flush.
+    /// and join all job threads. The capture sink stays installed until
+    /// the manager's last clone drops, so requests still finishing keep
+    /// complete traces.
     pub fn shutdown(&self) {
         if self.inner.draining.swap(true, Ordering::AcqRel) {
             return; // once
@@ -876,8 +860,6 @@ impl JobManager {
         for job in &jobs {
             job.join_thread();
         }
-        snet_obs::remove_sink(self.inner.sink);
-        snet_obs::flush();
     }
 }
 

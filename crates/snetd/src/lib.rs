@@ -19,7 +19,8 @@
 //!
 //! The interesting machinery is in [`jobs`]: content-addressed request
 //! coalescing (N identical in-flight checks compile once) and per-job
-//! progress capture routed from [`snet_obs`] events, around the
+//! progress capture, routed from [`snet_obs`] events by the one capture
+//! sink that also fills request traces, around the
 //! [`verdicts`] path `snetctl` shares: a warm hit replays the stored
 //! verdict bytes verbatim once their claim re-checks, so responses are
 //! byte-identical across cold/warm/coalesced. [`server`] adds the bounded worker pool and the
@@ -44,4 +45,4 @@ pub mod verdicts;
 pub use http::Limits;
 pub use jobs::{ApiError, CheckAnswer, FramePoll, Job, JobManager, JobsConfig};
 pub use server::{install_signal_handlers, serve, spawn, ServeConfig, ServerHandle, SERVE_FLAGS};
-pub use telemetry::{RequestCtx, TraceCapture, LINK_HEADER};
+pub use telemetry::{RequestCtx, LINK_HEADER};

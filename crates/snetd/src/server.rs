@@ -8,11 +8,12 @@
 //! `x-snet-trace` context is extracted (or a fresh one generated — a
 //! malformed header degrades, never rejects), an `http.request` span is
 //! opened with the trace id attached, the connection thread is routed
-//! into a per-request [`RequestTrace`] capture, and on completion the
-//! request lands in the RED histograms (`http.request.duration` by
-//! endpoint/status/cache), the debug ring (`GET /v1/debug/requests`),
-//! the trace store (`GET /v1/trace/{id}`), the JSONL access log, and —
-//! past the slow threshold — a `slow-<trace>.jsonl` auto-capture.
+//! into a per-request [`RequestTrace`] through the job manager's capture
+//! sink, and on completion the request's [`RequestEntry`] feeds the RED
+//! histograms (`http.request.duration` by endpoint/status/cache), the
+//! debug ring (`GET /v1/debug/requests`) and the JSONL access log, and
+//! its trace goes to the trace store (`GET /v1/trace/{id}`) and — past
+//! the slow threshold — a `slow-<trace>.jsonl` auto-capture.
 //! `/healthz` and `/metrics` probes bypass all of that and tick only
 //! their own labeled `http.probe.requests` counter, so scrape traffic
 //! never skews the job-path numbers.
@@ -27,7 +28,8 @@
 //! on a thread of its own and drains through the same handle once the
 //! flag is up. The job manager then drains (cancelling live jobs, which
 //! still spill their search frontiers to the store); connection workers
-//! finish their current exchange and exit; buffered observations flush.
+//! finish their current exchange and exit; the manager's last clone
+//! then removes its capture sink, and the remaining sinks flush.
 //! A drained exit is *clean*: the flight recorder writes nothing.
 
 use crate::http::{
@@ -35,8 +37,7 @@ use crate::http::{
 };
 use crate::jobs::{ApiError, CheckAnswer, FramePoll, Job, JobManager, JobsConfig};
 use crate::telemetry::{
-    self, AccessLog, RequestCtx, RequestEntry, RequestRing, RequestTrace, TraceCapture, TraceStore,
-    LINK_HEADER,
+    self, AccessLog, RequestCtx, RequestEntry, RequestRing, RequestTrace, TraceStore, LINK_HEADER,
 };
 use serde::Serialize;
 use snet_core::api::{CheckRequest, ErrorBody, SearchRequest, API_SCHEMA};
@@ -253,7 +254,6 @@ pub fn serve(cfg: ServeConfig) -> std::io::Result<()> {
 
 /// Service-wide telemetry shared by every connection worker.
 struct Telemetry {
-    capture: Arc<TraceCapture>,
     ring: RequestRing,
     traces: TraceStore,
     access: Option<AccessLog>,
@@ -275,10 +275,7 @@ fn serve_on(listener: TcpListener, cfg: ServeConfig, stop: Arc<AtomicBool>) -> s
         search_threads: cfg.search_threads,
         check_threads: cfg.check_threads,
     });
-    let capture = TraceCapture::new();
-    let capture_sink = snet_obs::install_sink(capture.clone());
     let telemetry = Arc::new(Telemetry {
-        capture,
         ring: RequestRing::default(),
         traces: TraceStore::default(),
         access: match &cfg.access_log {
@@ -340,14 +337,15 @@ fn serve_on(listener: TcpListener, cfg: ServeConfig, stop: Arc<AtomicBool>) -> s
 
     // Drain: reject new work and finish what is running (search jobs
     // observe their cancel tokens and spill their TT frontiers), then
-    // release the workers and flush observations. Clean exit — the
+    // release the workers. Dropping the manager's last clone removes
+    // its capture sink; then flush observations. Clean exit — the
     // flight recorder writes nothing.
     manager.shutdown();
     drop(tx);
     for w in workers {
         let _ = w.join();
     }
-    snet_obs::remove_sink(capture_sink);
+    drop(manager);
     snet_obs::flush();
     fatal.map_or(Ok(()), Err)
 }
@@ -425,19 +423,14 @@ fn serve_connection(
 // The traced exchange
 // ---------------------------------------------------------------------------
 
-/// What the routing layer learns about a request while answering it;
-/// consumed by the RED histograms, the debug ring, and the access log.
+/// What the routing layer learns about a request while answering it:
+/// the trace echo for its responses, and the outcome fields (status,
+/// cache, hash, job, link) of the request's record.
 #[derive(Default)]
 struct ReqMeta {
     /// `x-snet-trace` echo value (absent on untraced probe paths).
     trace_header: Option<String>,
-    status: u16,
-    cache: Option<String>,
-    hash: Option<String>,
-    job: Option<String>,
-    /// Linked trace (a coalesced follower's leader), echoed as
-    /// `x-snet-link`.
-    link: Option<String>,
+    record: RequestEntry,
 }
 
 /// Counts response bytes on their way to the socket.
@@ -478,23 +471,20 @@ fn handle_exchange(w: &mut impl Write, req: &Request, manager: &JobManager, tel:
     }
     let trace_hex = tctx.trace.to_hex();
     let trace = RequestTrace::new(tctx.trace);
-    let attach = tel.capture.attach(&trace);
+    let capture = manager.capture();
+    let attach = capture.attach(Some(&trace), None);
     let active = tel.in_flight.fetch_add(1, Ordering::Relaxed) + 1;
     snet_obs::gauge("http.in_flight", active as f64);
 
     let start = Instant::now();
-    let start_us = snet_obs::now_us();
-    let token = tel.ring.begin(RequestEntry {
+    let record = RequestEntry {
         trace: trace_hex.clone(),
         method: req.method.clone(),
         endpoint: endpoint.to_string(),
-        start_us,
-        status: 0,
-        cache: None,
-        bytes: 0,
-        dur_us: 0,
-        link: None,
-    });
+        start_us: snet_obs::now_us(),
+        ..RequestEntry::default()
+    };
+    let token = tel.ring.begin(record.clone());
 
     let mut span = snet_obs::span("http.request")
         .attr("method", &req.method)
@@ -505,57 +495,43 @@ fn handle_exchange(w: &mut impl Write, req: &Request, manager: &JobManager, tel:
         // request under the span that issued it.
         span.add_attr("parent_span", format!("{:016x}", tctx.parent_span));
     }
-    let ctx = RequestCtx {
-        trace_hex: Some(trace_hex.clone()),
-        capture: Some(tel.capture.clone()),
-        trace: Some(trace.clone()),
-        span: span.id(),
-    };
+    let ctx =
+        RequestCtx { trace_hex: Some(trace_hex), trace: Some(trace.clone()), span: span.id() };
     let mut meta = ReqMeta {
         trace_header: Some(TraceContext { trace: trace.trace, parent_span: span.id() }.to_header()),
-        ..ReqMeta::default()
+        record,
     };
     let mut counting = CountingWriter { inner: w, bytes: 0 };
     handle_request(&mut counting, req, manager, tel, &ctx, &mut meta);
-    let bytes = counting.bytes;
-    span.add_attr("status", meta.status);
-    if let Some(link) = &meta.link {
+    let mut record = meta.record;
+    record.bytes = counting.bytes;
+    span.add_attr("status", record.status);
+    if let Some(link) = &record.link {
         span.add_attr(snet_obs::LINK_ATTR, link.clone());
     }
-    // Ending the request span urgent-drains this thread's event buffer,
-    // so the capture holds everything the exchange emitted before the
-    // trace is stored below.
+    // Every event reaches the capture when it is emitted, so once the
+    // request span has ended the trace holds everything the exchange
+    // emitted before it is stored below.
     drop(span);
     drop(attach);
 
     snet_obs::counter("httpd.responses", 1);
     let active = tel.in_flight.fetch_sub(1, Ordering::Relaxed) - 1;
     snet_obs::gauge("http.in_flight", active as f64);
-    let dur_us = start.elapsed().as_micros() as u64;
-    let status = meta.status.to_string();
-    let cache = meta.cache.as_deref().unwrap_or("none");
+    record.dur_us = start.elapsed().as_micros() as u64;
+    let status = record.status.to_string();
+    let cache = record.cache.as_deref().unwrap_or("none");
     snet_obs::observe(
         "http.request.duration",
-        &[("endpoint", endpoint), ("status", &status), ("cache", cache)],
-        dur_us,
+        &[("endpoint", &record.endpoint), ("status", &status), ("cache", cache)],
+        record.dur_us,
     );
-    tel.ring.finish(token, meta.status, meta.cache.clone(), bytes, dur_us, meta.link.clone());
     if let Some(log) = &tel.access {
-        log.log(
-            start_us,
-            &trace_hex,
-            &req.method,
-            endpoint,
-            meta.status,
-            meta.cache.as_deref(),
-            meta.hash.as_deref(),
-            meta.job.as_deref(),
-            bytes,
-            dur_us,
-            meta.link.as_deref(),
-        );
+        log.log(&record);
     }
-    if tel.slow_us.is_some_and(|slow| dur_us >= slow) && telemetry::dump_slow(&trace).is_some() {
+    let slow = tel.slow_us.is_some_and(|slow| record.dur_us >= slow);
+    tel.ring.finish(token, record);
+    if slow && telemetry::dump_slow(&trace).is_some() {
         snet_obs::counter("http.slow.captured", 1);
     }
     // Introspection endpoints stay out of the bounded trace store:
@@ -564,7 +540,7 @@ fn handle_exchange(w: &mut impl Write, req: &Request, manager: &JobManager, tel:
     if endpoint != "/v1/debug/requests" && endpoint != "/v1/trace/{id}" {
         tel.traces.insert(trace.clone());
     }
-    tel.capture.release(&trace);
+    capture.release(&trace);
 }
 
 /// Writes a response, echoing the request's trace id and recording the
@@ -578,7 +554,7 @@ fn respond(
     body: &[u8],
     extra: &[(&str, &str)],
 ) {
-    meta.status = status;
+    meta.record.status = status;
     let mut headers: Vec<(&str, &str)> = extra.to_vec();
     if let Some(t) = &meta.trace_header {
         headers.push((snet_obs::TRACE_HEADER, t.as_str()));
@@ -693,10 +669,10 @@ fn answer_with_verdict(
         Some(t) if ctx.trace_hex.as_deref() != Some(t.as_str()) => Some(t.clone()),
         _ => None,
     };
-    meta.cache = Some(cache.to_string());
-    meta.hash = Some(hash.clone());
-    meta.job = answer.job.clone();
-    meta.link = link.clone();
+    meta.record.cache = Some(cache.to_string());
+    meta.record.hash = Some(hash.clone());
+    meta.record.job = answer.job.clone();
+    meta.record.link = link.clone();
     let mut extra: Vec<(&str, &str)> =
         vec![("x-snet-cache", cache), ("x-snet-hash", hash.as_str())];
     if let Some(job) = &answer.job {
@@ -745,7 +721,7 @@ fn handle_search(
         Ok(j) => j,
         Err(e) => return respond_api_error(w, meta, &e),
     };
-    meta.job = Some(job.id.clone());
+    meta.record.job = Some(job.id.clone());
     let mut extra: Vec<(&str, &str)> = vec![("x-snet-job", job.id.as_str())];
     if let Some(t) = &meta.trace_header {
         extra.push((snet_obs::TRACE_HEADER, t.as_str()));
@@ -757,7 +733,7 @@ fn handle_search(
         Ok(c) => c,
         Err(_) => return,
     };
-    meta.status = 200;
+    meta.record.status = 200;
     loop {
         match job.obs.poll(Duration::from_millis(250)) {
             FramePoll::Frame(f) => {

@@ -6,21 +6,27 @@
 //! ## Trace capture
 //!
 //! Every traced request owns a [`RequestTrace`]: a bounded buffer of the
-//! obs events the request caused. A process-global [`TraceCapture`] sink
-//! routes events to the owning trace two ways:
+//! obs events the request caused. One [`TraceCapture`] sink, installed
+//! and owned by the job manager, routes each event when it is emitted,
+//! two ways:
 //!
-//! * **by thread** — the connection thread (and a search job's worker
-//!   thread) registers itself with [`TraceCapture::attach`] for the
-//!   request's duration, so everything those threads emit is captured;
+//! * **by thread** — a thread [attaches](TraceCapture::attach) a route
+//!   naming its request trace, its job's [`JobObs`], or both, and
+//!   everything it emits goes there until the guard drops: the
+//!   connection thread for the exchange, a check leader for its
+//!   compute, a search job's thread for the job (adding the job around
+//!   the search itself);
 //! * **by span descent** — a `SpanStart` whose parent span already
 //!   belongs to a trace joins that trace and enrolls its own id, so
-//!   `span_under` worker spans emitted from *unregistered* pool threads
-//!   (the search engine's scoped worker threads) still land in the right
-//!   request trace.
+//!   `span_under` worker spans emitted from *unattached* pool threads
+//!   (the sharded check's and the search engine's scoped workers) still
+//!   land in the right request trace. Descent reaches a trace only,
+//!   never a job: a job's progress frames come from its own thread.
 //!
-//! The capture sink never calls back into the obs API (that would
-//! deadlock the drain); it only touches its own mutexes.
+//! The capture sink never calls back into the obs API; it only touches
+//! its own mutexes and the buffers of the traces and jobs it feeds.
 
+use crate::jobs::JobObs;
 use serde::{Serialize, Value};
 use snet_obs::json::obj;
 use snet_obs::tracectx::{TraceContext, TRACE_HEADER};
@@ -38,6 +44,12 @@ pub const LINK_HEADER: &str = "x-snet-link";
 /// Events kept per request before the trace starts dropping; the drop
 /// count is reported in the trace document so truncation is visible.
 const MAX_TRACE_EVENTS: usize = 4096;
+
+/// The search workers' liveness counter, one per 128 nodes each: it
+/// keeps the flight ring fresh in a deep search, but in a request trace
+/// it would fill the bound above before the spans that explain the
+/// request. The capture drops it.
+const HEARTBEAT: &str = "search.heartbeat";
 
 /// Finished requests kept in the debug ring.
 const RING_CAPACITY: usize = 256;
@@ -136,12 +148,21 @@ impl RequestTrace {
     }
 }
 
-/// The process-global capture sink: routes events to request traces by
-/// registered thread ordinal or by span descent (see module docs).
+/// Where an attached thread's events go: its request trace, its job,
+/// or both.
+#[derive(Clone, Default)]
+struct Route {
+    trace: Option<Arc<RequestTrace>>,
+    job: Option<Arc<JobObs>>,
+}
+
+/// The capture sink: routes events to request traces by attached
+/// thread or by span descent, and to jobs by attached thread (see
+/// module docs).
 #[derive(Default)]
 pub struct TraceCapture {
-    /// obs thread ordinal → the trace capturing that thread.
-    threads: Mutex<HashMap<u64, Arc<RequestTrace>>>,
+    /// obs thread ordinal → the route attached for that thread.
+    threads: Mutex<HashMap<u64, Route>>,
     /// span id → owning trace, for cross-thread descendants.
     spans: Mutex<HashMap<u64, Arc<RequestTrace>>>,
 }
@@ -153,12 +174,19 @@ impl TraceCapture {
         Arc::new(TraceCapture::default())
     }
 
-    /// Routes the calling thread's events to `trace` until the guard
-    /// drops.
-    pub fn attach(self: &Arc<TraceCapture>, trace: &Arc<RequestTrace>) -> AttachGuard {
+    /// Routes the calling thread's events to `trace` and to `job` until
+    /// the guard drops. The route replaces the thread's current one,
+    /// and the guard puts that one back.
+    pub fn attach(
+        self: &Arc<TraceCapture>,
+        trace: Option<&Arc<RequestTrace>>,
+        job: Option<&Arc<JobObs>>,
+    ) -> AttachGuard {
         let ordinal = snet_obs::thread_ordinal();
-        self.threads.lock().expect("capture threads poisoned").insert(ordinal, trace.clone());
-        AttachGuard { capture: self.clone(), ordinal }
+        let route = Route { trace: trace.cloned(), job: job.cloned() };
+        let previous =
+            self.threads.lock().expect("capture threads poisoned").insert(ordinal, route);
+        AttachGuard { capture: self.clone(), ordinal, previous }
     }
 
     /// Drops every span-descent route pointing at `trace`. Called when
@@ -173,31 +201,43 @@ impl TraceCapture {
 pub struct AttachGuard {
     capture: Arc<TraceCapture>,
     ordinal: u64,
+    previous: Option<Route>,
 }
 
 impl Drop for AttachGuard {
     fn drop(&mut self) {
-        self.capture.threads.lock().expect("capture threads poisoned").remove(&self.ordinal);
+        let mut threads = self.capture.threads.lock().expect("capture threads poisoned");
+        match self.previous.take() {
+            Some(route) => threads.insert(self.ordinal, route),
+            None => threads.remove(&self.ordinal),
+        };
     }
 }
 
 impl Sink for TraceCapture {
     fn event(&self, e: &Event) {
-        // Fast path: the emitting thread is registered to a request.
-        let by_thread =
-            self.threads.lock().expect("capture threads poisoned").get(&e.thread).cloned();
-        let target = match by_thread {
-            Some(t) => Some(t),
-            None => {
-                // Span descent: starts join their parent's trace; later
-                // events from that span resolve through its own id.
-                let spans = self.spans.lock().expect("capture spans poisoned");
-                spans
-                    .get(&e.parent)
-                    .or_else(|| if e.id != 0 { spans.get(&e.id) } else { None })
-                    .cloned()
-            }
-        };
+        if e.name == HEARTBEAT {
+            return;
+        }
+        let route = self
+            .threads
+            .lock()
+            .expect("capture threads poisoned")
+            .get(&e.thread)
+            .cloned()
+            .unwrap_or_default();
+        if let Some(job) = &route.job {
+            job.record(e);
+        }
+        let target = route.trace.or_else(|| {
+            // Span descent: starts join their parent's trace; later
+            // events from that span resolve through its own id.
+            let spans = self.spans.lock().expect("capture spans poisoned");
+            spans
+                .get(&e.parent)
+                .or_else(|| if e.id != 0 { spans.get(&e.id) } else { None })
+                .cloned()
+        });
         let Some(trace) = target else { return };
         match e.kind {
             EventKind::SpanStart => {
@@ -217,8 +257,11 @@ impl Sink for TraceCapture {
 // Debug request ring
 // ---------------------------------------------------------------------------
 
-/// One row of `GET /v1/debug/requests`.
-#[derive(Debug, Clone)]
+/// One request: what was asked and, once it finished, how it was
+/// answered. The exchange fills it in; the debug ring
+/// (`GET /v1/debug/requests`), the access log and the RED histogram
+/// labels all read it.
+#[derive(Debug, Clone, Default)]
 pub struct RequestEntry {
     /// Hex trace id.
     pub trace: String,
@@ -233,6 +276,10 @@ pub struct RequestEntry {
     /// Cache disposition (`miss`/`hit`/`coalesced`), when the endpoint
     /// has one.
     pub cache: Option<String>,
+    /// Canonical hash of the answered network, when there is one.
+    pub hash: Option<String>,
+    /// The job that computed the answer or was submitted, if any.
+    pub job: Option<String>,
     /// Response body bytes.
     pub bytes: u64,
     /// Wall duration (0 while active).
@@ -283,25 +330,11 @@ impl RequestRing {
         token
     }
 
-    /// Moves a request from active to recent with its outcome filled in.
-    pub fn finish(
-        &self,
-        token: u64,
-        status: u16,
-        cache: Option<String>,
-        bytes: u64,
-        dur_us: u64,
-        link: Option<String>,
-    ) {
-        let Some(mut entry) = self.active.lock().expect("request ring poisoned").remove(&token)
-        else {
+    /// Moves a request from active to recent, as its finished `entry`.
+    pub fn finish(&self, token: u64, entry: RequestEntry) {
+        if self.active.lock().expect("request ring poisoned").remove(&token).is_none() {
             return;
-        };
-        entry.status = status;
-        entry.cache = cache;
-        entry.bytes = bytes;
-        entry.dur_us = dur_us;
-        entry.link = link;
+        }
         let mut recent = self.recent.lock().expect("request ring poisoned");
         if recent.len() >= RING_CAPACITY {
             recent.pop_front();
@@ -395,36 +428,23 @@ impl AccessLog {
         Ok(AccessLog { file: Mutex::new(file) })
     }
 
-    /// Appends one request record. Best-effort: a full disk must not
-    /// fail the request that was already answered.
-    #[allow(clippy::too_many_arguments)]
-    pub fn log(
-        &self,
-        t_us: u64,
-        trace: &str,
-        method: &str,
-        endpoint: &str,
-        status: u16,
-        cache: Option<&str>,
-        hash: Option<&str>,
-        job: Option<&str>,
-        bytes: u64,
-        dur_us: u64,
-        link: Option<&str>,
-    ) {
+    /// Appends one finished request, stamped with its start time.
+    /// Best-effort: a full disk must not fail the request that was
+    /// already answered.
+    pub fn log(&self, r: &RequestEntry) {
         let mut fields = vec![
             ("schema", ACCESS_SCHEMA.serialize()),
-            ("t_us", t_us.serialize()),
-            ("trace", trace.serialize()),
-            ("method", method.serialize()),
-            ("endpoint", endpoint.serialize()),
-            ("status", status.serialize()),
+            ("t_us", r.start_us.serialize()),
+            ("trace", r.trace.serialize()),
+            ("method", r.method.serialize()),
+            ("endpoint", r.endpoint.serialize()),
+            ("status", r.status.serialize()),
         ];
-        let optional = [("cache", cache), ("hash", hash), ("job", job)];
-        fields.extend(optional.into_iter().filter_map(|(k, v)| Some((k, v?.serialize()))));
-        fields.push(("bytes", bytes.serialize()));
-        fields.push(("dur_us", dur_us.serialize()));
-        if let Some(l) = link {
+        let optional = [("cache", &r.cache), ("hash", &r.hash), ("job", &r.job)];
+        fields.extend(optional.into_iter().filter_map(|(k, v)| Some((k, v.as_ref()?.serialize()))));
+        fields.push(("bytes", r.bytes.serialize()));
+        fields.push(("dur_us", r.dur_us.serialize()));
+        if let Some(l) = &r.link {
             fields.push(("link", l.serialize()));
         }
         let mut line = serde_json::to_string(&obj(fields)).expect("a value tree always serializes");
@@ -458,15 +478,14 @@ pub fn dump_slow(trace: &Arc<RequestTrace>) -> Option<PathBuf> {
 
 /// What a request hands the job manager so job work lands in the right
 /// trace: the hex trace id (stamped into frames, manifests, and result
-/// documents) and the capture routing for worker threads the job
-/// spawns. `Default` (all `None`) means "untraced" — in-process library
-/// callers and tests that talk to the manager directly stay unchanged.
+/// documents) and the trace buffer the manager's capture routes job
+/// threads into. `Default` (all `None`) means "untraced" — in-process
+/// library callers and tests that talk to the manager directly still
+/// get their jobs' frames, just no trace.
 #[derive(Clone, Default)]
 pub struct RequestCtx {
     /// Hex trace id of the owning request.
     pub trace_hex: Option<String>,
-    /// The capture sink, for attaching spawned worker threads.
-    pub capture: Option<Arc<TraceCapture>>,
     /// The owning request's trace buffer.
     pub trace: Option<Arc<RequestTrace>>,
     /// The request span's id, so job threads can nest their spans
@@ -474,20 +493,12 @@ pub struct RequestCtx {
     pub span: u64,
 }
 
-impl RequestCtx {
-    /// Routes the calling thread into the request's trace for the
-    /// guard's lifetime (no-op when untraced).
-    pub fn attach(&self) -> Option<AttachGuard> {
-        match (&self.capture, &self.trace) {
-            (Some(capture), Some(trace)) => Some(capture.attach(trace)),
-            _ => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::jobs::FramePoll;
+    use snet_core::api::FrameKind;
+    use std::time::Duration;
 
     #[test]
     fn endpoint_labels_bound_cardinality() {
@@ -497,23 +508,89 @@ mod tests {
         assert_eq!(endpoint_label("/favicon.ico"), "other");
     }
 
+    /// A route replaces the thread's current one until its guard drops;
+    /// a job sees only its own thread's events, a trace also those of
+    /// its spans' descendants on other threads.
+    #[test]
+    fn capture_routes_threads_to_traces_and_jobs_and_descendants_to_traces() {
+        use EventKind::{Counter, SpanEnd, SpanStart};
+        let capture = TraceCapture::new();
+        let trace = RequestTrace::new(TraceId(9));
+        let job = JobObs::new("job-0", None);
+        let (me, worker) = (snet_obs::thread_ordinal(), u64::MAX);
+        let emit = |kind, name: &str, id, parent, thread| {
+            let attrs = Vec::new();
+            let (t_us, dur_us, value) = (0, 0, 1.0);
+            capture.event(&Event {
+                kind,
+                name: name.into(),
+                id,
+                parent,
+                thread,
+                t_us,
+                dur_us,
+                value,
+                attrs,
+            });
+        };
+        let exchange = capture.attach(Some(&trace), None);
+        emit(SpanStart, "http.request", 1, 0, me);
+        let leader = capture.attach(Some(&trace), Some(&job));
+        emit(SpanStart, "check.zero_one", 2, 1, me);
+        emit(Counter, "check.inputs", 0, 2, me);
+        emit(SpanStart, "check.shard", 3, 2, worker);
+        emit(Counter, "check.inputs", 0, 3, worker);
+        emit(Counter, HEARTBEAT, 0, 3, worker);
+        emit(SpanEnd, "check.shard", 3, 2, worker);
+        emit(SpanEnd, "check.zero_one", 2, 1, me);
+        drop(leader);
+        emit(Counter, "httpd.responses", 0, 0, me);
+        emit(Counter, "check.inputs", 0, 1, me);
+        emit(SpanEnd, "http.request", 1, 0, me);
+        drop(exchange);
+        emit(Counter, "check.inputs", 0, 0, me);
+
+        let traced: Vec<(String, u64)> =
+            trace.events().into_iter().map(|e| (e.name, e.thread)).collect();
+        let expected = [
+            ("http.request", me),
+            ("check.zero_one", me),
+            ("check.inputs", me),
+            ("check.shard", worker),
+            ("check.inputs", worker),
+            ("check.shard", worker),
+            ("check.zero_one", me),
+            ("httpd.responses", me),
+            ("check.inputs", me),
+            ("http.request", me),
+        ];
+        let expected: Vec<(String, u64)> = expected.iter().map(|&(n, t)| (n.into(), t)).collect();
+        assert_eq!(
+            traced, expected,
+            "the trace keeps its route under the job and gets descendants"
+        );
+        let FramePoll::Frame(frame) = job.poll(Duration::ZERO) else {
+            panic!("the leader's counter became a frame");
+        };
+        assert_eq!(frame.kind, FrameKind::Event { name: "check.inputs".into(), value: 1 });
+        assert!(matches!(job.poll(Duration::ZERO), FramePoll::Idle), "one frame, none by descent");
+    }
+
     #[test]
     fn request_ring_moves_finished_entries_to_recent() {
         let ring = RequestRing::default();
-        let token = ring.begin(RequestEntry {
+        let entry = RequestEntry {
             trace: "aa".into(),
             method: "POST".into(),
             endpoint: "/v1/check".into(),
             start_us: 10,
-            status: 0,
-            cache: None,
-            bytes: 0,
-            dur_us: 0,
-            link: None,
-        });
+            ..RequestEntry::default()
+        };
+        let token = ring.begin(entry.clone());
         let doc = ring.to_json();
         assert!(doc.contains("\"active\":[{"), "active entry listed: {doc}");
-        ring.finish(token, 200, Some("miss".into()), 42, 1234, None);
+        let cache = Some("miss".into());
+        ring.finish(token, RequestEntry { status: 200, cache, bytes: 42, dur_us: 1234, ..entry });
         let doc = ring.to_json();
         assert!(doc.contains("\"active\":[]"), "no active entries: {doc}");
         assert!(doc.contains("\"status\":200") && doc.contains("\"cache\":\"miss\""), "{doc}");
@@ -570,17 +647,21 @@ mod tests {
             method: "POST".into(),
             endpoint: "/v1/check".into(),
             start_us,
-            status: 0,
-            cache: None,
-            bytes: 0,
-            dur_us: 0,
-            link: None,
+            ..RequestEntry::default()
+        };
+        let finished = |trace: &str, start_us: u64, cache: &str, dur_us: u64| RequestEntry {
+            status: 200,
+            cache: Some(cache.into()),
+            bytes: 42,
+            dur_us,
+            ..entry(trace, start_us)
         };
         let a = ring.begin(entry("aa", 10));
         ring.begin(entry("b\"b", 5));
         let c = ring.begin(entry("cc", 20));
-        ring.finish(a, 200, Some("miss".into()), 42, 1234, None);
-        ring.finish(c, 200, Some("coalesced".into()), 42, 99, Some("aa".into()));
+        ring.finish(a, finished("aa", 10, "miss", 1234));
+        let link = Some("aa".into());
+        ring.finish(c, RequestEntry { link, ..finished("cc", 20, "coalesced", 99) });
         let expected = r#"{"schema":"snet-api/1","active":[{"trace":"b\"b","method":"POST","endpoint":"/v1/check","active":true,"start_us":5}],"recent":[{"trace":"cc","method":"POST","endpoint":"/v1/check","active":false,"start_us":20,"status":200,"bytes":42,"dur_us":99,"cache":"coalesced","link":"aa"},{"trace":"aa","method":"POST","endpoint":"/v1/check","active":false,"start_us":10,"status":200,"bytes":42,"dur_us":1234,"cache":"miss"}]}"#;
         assert_eq!(ring.to_json(), expected);
     }
@@ -592,11 +673,29 @@ mod tests {
         let path = dir.join(format!("access-golden-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let log = AccessLog::open(&path).unwrap();
-        let (trace, link) =
-            ("0123456789abcdef0123456789abcdef", "fedcba9876543210fedcba9876543210");
-        let (cache, hash, job) = (Some("miss"), Some("ff00"), Some("job-0"));
-        log.log(5, trace, "POST", "/v1/check", 200, cache, hash, job, 10, 20, Some(link));
-        log.log(9, "tr\"ace", "GET", "/healthz", 404, None, None, None, 2, 1, None);
+        log.log(&RequestEntry {
+            trace: "0123456789abcdef0123456789abcdef".into(),
+            method: "POST".into(),
+            endpoint: "/v1/check".into(),
+            start_us: 5,
+            status: 200,
+            cache: Some("miss".into()),
+            hash: Some("ff00".into()),
+            job: Some("job-0".into()),
+            bytes: 10,
+            dur_us: 20,
+            link: Some("fedcba9876543210fedcba9876543210".into()),
+        });
+        log.log(&RequestEntry {
+            trace: "tr\"ace".into(),
+            method: "GET".into(),
+            endpoint: "/healthz".into(),
+            start_us: 9,
+            status: 404,
+            bytes: 2,
+            dur_us: 1,
+            ..RequestEntry::default()
+        });
         let expected = concat!(
             r#"{"schema":"snet-access/1","t_us":5,"trace":"0123456789abcdef0123456789abcdef","method":"POST","endpoint":"/v1/check","status":200,"cache":"miss","hash":"ff00","job":"job-0","bytes":10,"dur_us":20,"link":"fedcba9876543210fedcba9876543210"}"#,
             "\n",
@@ -614,20 +713,30 @@ mod tests {
         let path = dir.join(format!("access-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let log = AccessLog::open(&path).unwrap();
-        log.log(
-            5,
-            "abc",
-            "POST",
-            "/v1/check",
-            200,
-            Some("miss"),
-            Some("ff"),
-            Some("job-0"),
-            10,
-            20,
-            None,
-        );
-        log.log(9, "def", "GET", "/healthz", 200, None, None, None, 2, 1, Some("abc"));
+        log.log(&RequestEntry {
+            trace: "abc".into(),
+            method: "POST".into(),
+            endpoint: "/v1/check".into(),
+            start_us: 5,
+            status: 200,
+            cache: Some("miss".into()),
+            hash: Some("ff".into()),
+            job: Some("job-0".into()),
+            bytes: 10,
+            dur_us: 20,
+            link: None,
+        });
+        log.log(&RequestEntry {
+            trace: "def".into(),
+            method: "GET".into(),
+            endpoint: "/healthz".into(),
+            start_us: 9,
+            status: 200,
+            bytes: 2,
+            dur_us: 1,
+            link: Some("abc".into()),
+            ..RequestEntry::default()
+        });
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);

@@ -225,19 +225,23 @@ fn adversary_witness_is_cached_and_replayed() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
-/// The finished spans of a request's stored trace, as `(name, attrs)`,
-/// polling briefly: the trace store insert follows the response.
-fn spans_of(addr: &str, trace: &str) -> Vec<(String, Vec<(String, String)>)> {
+/// The span end events of a request's stored trace, polling briefly:
+/// the trace store insert follows the response.
+fn span_ends_of(addr: &str, trace: &str) -> Vec<snet_obs::Event> {
     for _ in 0..50 {
         let r = client::request(addr, "GET", &format!("/v1/trace/{trace}"), None).unwrap();
         if r.status == 200 {
             let events = snet_obs::report::parse_events(&r.text()).expect("stored trace parses");
-            let ends = events.into_iter().filter(|e| e.kind == snet_obs::EventKind::SpanEnd);
-            return ends.map(|e| (e.name, e.attrs)).collect();
+            return events.into_iter().filter(|e| e.kind == snet_obs::EventKind::SpanEnd).collect();
         }
         std::thread::sleep(Duration::from_millis(100));
     }
     panic!("trace {trace} never reached the trace store");
+}
+
+/// The finished spans of a request's stored trace, as `(name, attrs)`.
+fn spans_of(addr: &str, trace: &str) -> Vec<(String, Vec<(String, String)>)> {
+    span_ends_of(addr, trace).into_iter().map(|e| (e.name, e.attrs)).collect()
 }
 
 /// A cold request compiles once and records one span per stage its time
@@ -352,6 +356,62 @@ fn unpaired_surrogates_are_a_422_not_a_dead_worker() {
 fn trace_header_for(i: u64) -> (String, String) {
     let trace = format!("{:032x}", 0xace0_0000u64 + i);
     (trace.clone(), format!("{trace}-{:016x}", i + 1))
+}
+
+/// Spans that worker threads open under `span_under` reach the request
+/// trace by span descent: a search's workers under its rounds, a sharded
+/// check's shards under its `check.zero_one`.
+#[test]
+fn worker_spans_reach_the_request_trace_by_span_descent() {
+    let root = scratch_root("descent");
+    let cfg = ServeConfig { store: Some(root.clone()), check_threads: 2, ..ServeConfig::default() };
+    let handle = spawn(cfg).expect("daemon binds an ephemeral port");
+    let addr = handle.addr.to_string();
+
+    let (trace, header) = trace_header_for(0xde5c);
+    let req =
+        SearchRequest { n: 5, mode: "unrestricted".into(), max_depth: None, threads: Some(2) };
+    let body = serde_json::to_string(&req).unwrap();
+    let headers = [("x-snet-trace", header.as_str())];
+    let resp = client::stream_lines_with(
+        &addr,
+        "POST",
+        "/v1/search",
+        Some(body.as_bytes()),
+        &headers,
+        &mut |_| true,
+    )
+    .unwrap();
+    assert_eq!(resp.status, 200);
+    let ends = span_ends_of(&addr, &trace);
+    let rounds: Vec<u64> = ends.iter().filter(|e| e.name == "search.round").map(|e| e.id).collect();
+    let workers: Vec<u64> =
+        ends.iter().filter(|e| e.name == "search.worker").map(|e| e.parent).collect();
+    assert!(!rounds.is_empty(), "the stored trace holds the search rounds");
+    assert_eq!(workers.len(), 2 * rounds.len(), "one search.worker per worker per round");
+    for round in &rounds {
+        let children = workers.iter().filter(|&parent| parent == round).count();
+        assert_eq!(children, 2, "round span {round} has both of its workers");
+    }
+
+    // 2^18 inputs, sharded for two threads into 16 shards of 2^14.
+    let (trace, header) = trace_header_for(0x5ad);
+    let body = check_body(&odd_even_transposition(18));
+    let headers = [("x-snet-trace", header.as_str())];
+    let resp = client::request_with(&addr, "POST", "/v1/check", Some(&body), &headers).unwrap();
+    assert_eq!(resp.status, 200);
+    assert_eq!(resp.header("x-snet-cache"), Some("miss"));
+    let ends = span_ends_of(&addr, &trace);
+    let checks: Vec<u64> =
+        ends.iter().filter(|e| e.name == "check.zero_one").map(|e| e.id).collect();
+    assert_eq!(checks.len(), 1, "one exhaustive check");
+    let shards: Vec<u64> =
+        ends.iter().filter(|e| e.name == "check.shard").map(|e| e.parent).collect();
+    assert_eq!(shards.len(), 16, "every shard of the check is in the trace");
+    assert!(shards.iter().all(|&parent| parent == checks[0]), "shards nest under the check");
+
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]
