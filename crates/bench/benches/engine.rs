@@ -2,12 +2,11 @@
 //! cost, per-pass pipeline cost over the sorter zoo,
 //! compiled-vs-interpreted scalar evaluation (the interpreter rows are the
 //! deliberate baseline the IR is measured against), and exhaustive 0-1
-//! checking (seed scalar scan vs compiled 64-lane sharded checker).
+//! checking (the compiled 64-lane sharded checker at 1–8 threads).
 //!
-//! `snet-bench/src/bin/engine_baseline.rs` runs the check scenarios once
-//! and records them to `results/engine_baseline.json`;
-//! `snet-bench/src/bin/ir_passes.rs` records the per-pass table to
-//! `results/ir_passes.json`.
+//! `snet-bench/src/bin/baselines.rs` runs the check, scalar and pass
+//! scenarios once and records them as the committed
+//! `results/baselines/engine_*.json` and `ir_passes_*.json` files.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use snet_bench::Workload;
@@ -15,7 +14,6 @@ use snet_core::ir::{
     check_zero_one_sharded, Executor, Pass, PassManager, Program, RedundantElim, Relayer,
 };
 use snet_core::network::ComparatorNetwork;
-use snet_core::sortcheck::check_zero_one_exhaustive;
 use snet_sorters::{
     bitonic_shuffle, brick_wall, odd_even_mergesort, periodic_balanced, pratt_network,
 };
@@ -48,7 +46,7 @@ fn bench_passes(c: &mut Criterion) {
     // Pipeline cost per pass: the canonical pipeline on the raw program,
     // then each optimizing pass on a canonically-normalized base. Depth
     // and size before/after are reported once per network on stderr (the
-    // JSON artifact comes from the ir_passes binary).
+    // committed numbers come from the baselines binary).
     let mut g = c.benchmark_group("ir_passes");
     let n = 64usize;
     for (name, net) in zoo(n) {
@@ -121,9 +119,9 @@ fn bench_scalar(c: &mut Criterion) {
 }
 
 fn bench_exhaustive(c: &mut Criterion) {
-    // The headline scenario: full 2ⁿ 0-1 verification, seed scalar scan
-    // vs the compiled sharded checker. Bitonic is power-of-two-only, so
-    // the 2²⁰-input row uses the 20-wire brick wall.
+    // The headline scenario: full 2ⁿ 0-1 verification by the compiled
+    // sharded checker. Bitonic is power-of-two-only, so the 2²⁰-input
+    // row uses the 20-wire brick wall.
     let mut g = c.benchmark_group("exhaustive_01_check");
     g.sample_size(10);
     let nets =
@@ -131,9 +129,6 @@ fn bench_exhaustive(c: &mut Criterion) {
     for (name, net) in &nets {
         let n = net.wires();
         g.throughput(Throughput::Elements(1u64 << n));
-        g.bench_with_input(BenchmarkId::new(format!("{name}_seed_scalar"), n), &n, |b, _| {
-            b.iter(|| check_zero_one_exhaustive(net));
-        });
         for threads in [1usize, 2, 4, 8] {
             g.bench_with_input(
                 BenchmarkId::new(format!("{name}_sharded_t{threads}"), n),

@@ -3,9 +3,9 @@
 //! bitonic counting networks of growing width. The networks trade a
 //! longer per-op path (`depth + 1` RMWs) for spreading contention across
 //! `O(w lg²w)` balancers — the crossover is the point of EXPERIMENTS.md
-//! E19, and `snet-bench/src/bin/counter_baseline.rs` records the same
-//! scenarios as committed `results/baselines/` files for `snetctl bench
-//! diff`.
+//! E19, and `snet-bench/src/bin/baselines.rs` records the same
+//! scenarios as committed `results/baselines/counter_*.json` files for
+//! `snetctl bench diff`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use snet_runtime::CountingNetwork;

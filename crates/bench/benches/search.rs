@@ -3,8 +3,9 @@
 //! feasibility), single-budget refutation rounds, and the per-layer
 //! compiled 0-1 set application that forms the DFS inner loop.
 //!
-//! `snet-bench/src/bin/search_frontier.rs` runs the same scenarios once
-//! and records states/sec and transposition hit rates to
+//! `snet-bench/src/bin/baselines.rs` runs the same scenarios once and
+//! records states/sec and transposition hit rates as the committed
+//! `results/baselines/search_*.json` files and
 //! `results/search_frontier.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -71,7 +72,7 @@ fn bench_search_instrumentation(c: &mut Criterion) {
         // Always-on path in snetctl: every event is serialized into the
         // per-thread flight ring, no sink, no I/O. The CI perf gate holds
         // this within 5% of no_sink.
-        snet_obs::enable_flight(None);
+        snet_obs::enable_flight();
         b.iter(|| search(cfg));
         snet_obs::disable_flight();
     });

@@ -91,19 +91,16 @@ fn main() {
 /// The flight recorder turns on here for every command — that is its
 /// point: a bounded in-memory record that costs nothing on a clean exit
 /// (no file is written) and is dumped to `flight-<pid>.jsonl` by the
-/// panic hook when the process dies. `SNET_FLIGHT=0` disables it;
-/// `SNET_FLIGHT_BYTES` sizes the per-thread ring. The fault-injection
-/// hook `SNET_FAULT_PANIC_AFTER=N` (panic on the N-th event) exists so
-/// CI can prove the dump path works on a real run.
+/// panic hook when the process dies. `SNET_FLIGHT=0` disables it. The
+/// fault-injection hook `SNET_FAULT_PANIC_AFTER=N` (panic on the N-th
+/// event) exists so CI can prove the dump path works on a real run.
 fn setup_observability(args: &mut Vec<String>) -> Result<(), String> {
     use std::sync::Arc;
     let trace_out = take_flag_value(args, "--trace-out")?;
     let metrics_out = take_flag_value(args, "--metrics-out")?;
     let progress = take_flag(args, "--progress");
     if std::env::var("SNET_FLIGHT").ok().as_deref() != Some("0") {
-        let ring_bytes =
-            std::env::var("SNET_FLIGHT_BYTES").ok().and_then(|v| v.parse::<usize>().ok());
-        snet_obs::enable_flight(ring_bytes);
+        snet_obs::enable_flight();
     }
     if let Ok(n) = std::env::var("SNET_FAULT_PANIC_AFTER") {
         snet_obs::arm_fault_after(parse(&n, "SNET_FAULT_PANIC_AFTER")?);
@@ -253,10 +250,9 @@ fn print_usage() {
          \x20 --progress                       live progress meter on stderr for long scans\n\
          \n\
          flight recorder (always on; env-controlled):\n\
-         \x20 SNET_FLIGHT=0                    disable the in-memory flight recorder\n\
-         \x20 SNET_FLIGHT_BYTES=N              per-thread ring size in bytes (default 524288);\n\
-         \x20                                  on panic the rings dump to flight-<pid>.jsonl,\n\
-         \x20                                  renderable with 'report'\n\
+         \x20 SNET_FLIGHT=0                    disable the in-memory flight recorder (512 KiB\n\
+         \x20                                  per thread); on panic the rings dump to\n\
+         \x20                                  flight-<pid>.jsonl, renderable with 'report'\n\
          \n\
          store flags (check/search/refute/certify/store):\n\
          \x20 --store DIR                      cache verdicts and search transposition spills\n\
@@ -272,6 +268,26 @@ fn flag<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
 
 fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
+}
+
+/// Fails on any argument after the first (the input file) that is not
+/// one of `switches` or a `valued` flag with its value: a misspelt flag
+/// must not silently change what a command checks.
+fn reject_unknown_flags(
+    command: &str,
+    args: &[String],
+    switches: &[&str],
+    valued: &[&str],
+) -> Result<(), String> {
+    let mut rest = args.iter().skip(1);
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            rest.next().ok_or_else(|| format!("{arg} requires a value"))?;
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(format!("{command} does not take '{arg}' (try --help)"));
+        }
+    }
+    Ok(())
 }
 
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
@@ -362,6 +378,12 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
     let path = args.first().ok_or("check requires FILE")?;
+    reject_unknown_flags(
+        "check",
+        args,
+        &["--exhaustive", "--no-passes", "--no-store"],
+        &["--threads", "--trials", "--seed", "--verdict-out", "--store"],
+    )?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
     // `--no-passes` runs the IR without the canonical pipeline: the raw

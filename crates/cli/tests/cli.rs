@@ -52,6 +52,29 @@ fn gen_info_check_roundtrip_bitonic() {
 }
 
 #[test]
+fn check_rejects_flags_it_does_not_read() {
+    // A misspelt --exhaustive used to fall back to 10,000 random trials
+    // and exit 0: a sampled pass reported in place of the proof.
+    let f = tmpfile("misspelt-flags.json");
+    let out = snetctl(&["gen", "--kind", "bitonic", "--n", "8", "-o", &f]);
+    assert!(out.status.success());
+    for (args, named) in [
+        (vec!["check", &f, "--exhaustve"], "--exhaustve"),
+        (vec!["check", &f, "--exhaustive", "--thread", "1"], "--thread"),
+        (vec!["check", &f, "stray"], "stray"),
+        (vec!["check", &f, "--exhaustive", "--threads"], "--threads"),
+    ] {
+        let out = snetctl(&args);
+        assert_eq!(out.status.code(), Some(1), "{args:?} must be a usage error");
+        assert!(out.stdout.is_empty(), "{args:?} must check nothing");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(named), "{args:?}: {err}");
+    }
+    let out = snetctl(&["check", &f, "--exhaustive", "--threads", "1", "--no-passes"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
 fn check_finds_counterexample_on_brick_prefix() {
     // A non-sorting circuit: the empty check via random trials must exit 3.
     let f = tmpfile("shallow.json");

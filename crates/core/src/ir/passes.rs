@@ -16,7 +16,8 @@
 //!
 //! Each [`PassManager::run`] returns one [`PassRecord`] per pass with
 //! before/after metrics and wall-clock cost, which is what the
-//! `ir_passes` bench and the CLI table report.
+//! `ir_passes_*` baselines (the `baselines` bench binary) and the CLI
+//! table report.
 
 use super::program::{Op, Program};
 use crate::element::ElementKind;

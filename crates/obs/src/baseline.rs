@@ -142,9 +142,10 @@ pub enum Direction {
 
 impl Direction {
     /// Infers the direction from the metric name: `*_ms`/`*_us`/`*_ns`
-    /// are durations (lower is better), names mentioning `nodes` or
-    /// `states` counts are workload descriptors (neutral), everything
-    /// else — rates, hit ratios — is higher-better.
+    /// are durations (lower is better); `*_total` counts (node counts,
+    /// a pass's ops/size/depth) and bare `nodes`/`states` describe the
+    /// workload (neutral: reported, never failed); everything else —
+    /// rates, hit ratios, speedups — is higher-better.
     pub fn of(metric: &str) -> Direction {
         if metric.ends_with("_ms") || metric.ends_with("_us") || metric.ends_with("_ns") {
             Direction::LowerBetter
@@ -306,6 +307,11 @@ mod tests {
         assert_eq!(Direction::of("wall_ms"), Direction::LowerBetter);
         assert_eq!(Direction::of("task_p99_us"), Direction::LowerBetter);
         assert_eq!(Direction::of("nodes_total"), Direction::Neutral);
+        // The IR pass baselines: sizes are reported, pass times gated.
+        assert_eq!(Direction::of("relayer_depth_after_total"), Direction::Neutral);
+        assert_eq!(Direction::of("final_size_total"), Direction::Neutral);
+        assert_eq!(Direction::of("redundant_elim_ns"), Direction::LowerBetter);
+        assert_eq!(Direction::of("speedup"), Direction::HigherBetter);
     }
 
     #[test]

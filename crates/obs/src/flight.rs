@@ -26,13 +26,12 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 static FLIGHT_ON: AtomicBool = AtomicBool::new(false);
-static RING_BYTES: AtomicUsize = AtomicUsize::new(DEFAULT_RING_BYTES);
 static RINGS: Mutex<Vec<Arc<Ring>>> = Mutex::new(Vec::new());
 static FAULT_AFTER: AtomicU64 = AtomicU64::new(0);
 static FAULT_COUNT: AtomicU64 = AtomicU64::new(0);
 
-/// Default per-thread ring capacity: 512 KiB holds roughly the last
-/// 4–5k events per thread at typical line lengths.
+/// Per-thread ring capacity: 512 KiB holds roughly the last 4–5k
+/// events per thread at typical line lengths.
 pub const DEFAULT_RING_BYTES: usize = 512 * 1024;
 
 /// One thread's byte ring. Only the owning thread writes; any thread
@@ -112,19 +111,13 @@ pub(crate) fn set_on(on: bool) {
     FLIGHT_ON.store(on, Ordering::Relaxed);
 }
 
-/// Sets the per-thread ring capacity for rings created after this call.
-pub(crate) fn set_ring_bytes(bytes: usize) {
-    RING_BYTES.store(bytes.max(1024), Ordering::Relaxed);
-}
-
 /// Serializes `e` and appends it to the calling thread's ring.
 pub(crate) fn record(e: &Event) {
     let mut line = e.to_json_line();
     line.push('\n');
     let _ = RING.try_with(|cell| {
         let ring = cell.get_or_init(|| {
-            let r =
-                Arc::new(Ring::new(crate::thread_ordinal(), RING_BYTES.load(Ordering::Relaxed)));
+            let r = Arc::new(Ring::new(crate::thread_ordinal(), DEFAULT_RING_BYTES));
             RINGS.lock().unwrap_or_else(|p| p.into_inner()).push(r.clone());
             r
         });

@@ -104,13 +104,9 @@ pub fn enabled() -> bool {
 }
 
 /// Turns the flight recorder on (installing the panic-dump hook), with
-/// an optional per-thread ring capacity in bytes
-/// ([`DEFAULT_RING_BYTES`] otherwise). `snetctl` calls this on startup
+/// [`DEFAULT_RING_BYTES`] per thread. `snetctl` calls this on startup
 /// unless `SNET_FLIGHT=0`; a clean exit leaves no files behind.
-pub fn enable_flight(ring_bytes: Option<usize>) {
-    if let Some(b) = ring_bytes {
-        flight::set_ring_bytes(b);
-    }
+pub fn enable_flight() {
     install_panic_flush_hook();
     flight::set_on(true);
 }
@@ -664,7 +660,7 @@ mod tests {
     fn flight_recorder_captures_without_any_sink() {
         let _guard = TEST_LOCK.lock().unwrap_or_else(|p| p.into_inner());
         assert!(!enabled());
-        enable_flight(None);
+        enable_flight();
         assert!(enabled(), "flight recording counts as enabled");
         counter("flight.lib.test", 5);
         let span = span("flight.lib.span");

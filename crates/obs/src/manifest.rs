@@ -15,7 +15,7 @@ pub const MANIFEST_SCHEMA: &str = "snet-obs-manifest/1";
 pub struct RunManifest {
     /// [`MANIFEST_SCHEMA`].
     pub schema: String,
-    /// The producing tool (e.g. `snetctl`, `engine_baseline`).
+    /// The producing tool (e.g. `snetctl`, `baselines`).
     pub tool: String,
     /// Command-line arguments after the binary name.
     pub args: Vec<String>,

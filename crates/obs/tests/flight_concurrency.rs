@@ -9,7 +9,7 @@ fn eight_concurrent_writers_never_interleave_partial_lines() {
     const THREADS: u64 = 8;
     const EVENTS_PER_THREAD: usize = 500;
 
-    snet_obs::enable_flight(None);
+    snet_obs::enable_flight();
     std::thread::scope(|s| {
         for t in 0..THREADS {
             s.spawn(move || {

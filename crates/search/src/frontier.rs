@@ -18,7 +18,7 @@ pub enum Frontier<'a> {
     /// --frontier-out`).
     Run(&'a SearchOutcome),
     /// A `runs` array, each run with derived `elapsed_ms`,
-    /// `states_per_sec` and `tt_hit_rate` (the `search_frontier` bench).
+    /// `states_per_sec` and `tt_hit_rate` (the `baselines` bench binary).
     Runs(&'a [SearchOutcome]),
 }
 

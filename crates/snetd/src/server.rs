@@ -263,10 +263,10 @@ struct Telemetry {
 
 fn serve_on(listener: TcpListener, cfg: ServeConfig, stop: Arc<AtomicBool>) -> std::io::Result<()> {
     let store = match &cfg.store {
-        // One long-lived shared handle: every worker sees the same
-        // generation, and a second daemon on the same root coordinates
-        // through the store's own meta lock.
-        Some(root) => Some(ArtifactStore::open_shared(root)?),
+        // Opened once per daemon; every worker gets a clone, so all of
+        // them stamp one generation. A second daemon on the same root
+        // coordinates through the store's own meta lock.
+        Some(root) => Some(ArtifactStore::open(root)?),
         None => None,
     };
     let manager = JobManager::new(JobsConfig {

@@ -12,12 +12,11 @@
 //! The crate provides:
 //!
 //! * [`ArtifactStore`] — the sharded on-disk store: crash-safe writes
-//!   (temp file + rename), checksum-verified memory-mapped reads,
-//!   quarantine (never abort) on corruption, generation-based GC;
+//!   (temp file + rename), checksum-verified reads, quarantine (never
+//!   abort) on corruption, generation-based GC;
 //! * [`tt`] — a spill/load format for the search engine's UNSAT
 //!   transposition table, so warm searches start with the previous run's
-//!   refutation facts;
-//! * [`mmap`] — the read-only mapping primitive the store reads through.
+//!   refutation facts.
 //!
 //! Lookups and writes tick the `store.hits` / `store.misses` /
 //! `store.bytes` obs counters, so cache behaviour lands in run reports
@@ -25,7 +24,6 @@
 
 #![warn(missing_docs)]
 
-pub mod mmap;
 pub mod store;
 pub mod tt;
 

@@ -25,9 +25,13 @@
 //!
 //! Writes are crash-safe: the entry is written to a hidden temp file in
 //! the same shard directory, fsynced, then atomically renamed into
-//! place. Readers that find a malformed header, a length mismatch, or a
-//! failing FNV-1a checksum move the entry to `quarantine/` and report a
-//! miss — corruption costs a recompute, never an abort.
+//! place. [`ArtifactStore::get`] reads the whole entry into memory with
+//! one `read` and checks it there; readers that find a malformed header,
+//! a length mismatch, or a failing FNV-1a checksum move the entry to
+//! `quarantine/` and report a miss — corruption costs a recompute, never
+//! an abort. A read that fails midway is an I/O error, which is also a
+//! miss (a memory-mapped file that shrinks under its reader would kill
+//! the process with `SIGBUS` instead).
 //!
 //! ## Eviction
 //!
@@ -48,17 +52,15 @@
 //! *or* processes — each get a distinct generation instead of losing
 //! updates. [`ArtifactStore::gc`] tolerates entries vanishing under it
 //! (another handle's GC got there first). A long-lived multi-threaded
-//! process should prefer [`ArtifactStore::open_shared`], which hands
-//! every caller one shared generation per root.
+//! process opens its store once and clones the handle to every worker,
+//! so all of them stamp one generation.
 
-use crate::mmap::map_file;
 use snet_core::ir::CanonicalHash;
 use snet_core::verdict::Verdict;
-use std::collections::HashMap;
-use std::io::{self, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Schema tag of the per-entry header line.
@@ -69,6 +71,8 @@ pub const META_SCHEMA: &str = "snet-store-meta/1";
 pub const KIND_VERDICT: &str = "verdict";
 /// Entry kind for transposition-table spills ([`crate::tt`]).
 pub const KIND_TT_FACTS: &str = "tt-facts";
+/// Longest header line `ls` accepts; written headers are about 200 bytes.
+const MAX_HEADER_BYTES: u64 = 4096;
 
 /// FNV-1a 64 over the payload — an integrity check against torn or
 /// bit-rotted entries (the content hash already guards identity).
@@ -190,33 +194,6 @@ impl ArtifactStore {
         Ok(ArtifactStore { inner: Arc::new(Inner { root, generation }) })
     }
 
-    /// Opens `root` sharing one generation per root within this process:
-    /// when a handle for the same root is still alive anywhere in the
-    /// process, the returned handle shares it (same `Arc<Inner>`, same
-    /// generation) instead of bumping again. The first open of a root —
-    /// or the first after every prior handle was dropped — behaves like
-    /// [`ArtifactStore::open`].
-    ///
-    /// This is the constructor for long-lived multi-threaded services:
-    /// `snetd` keeps one store open for its lifetime, and every worker
-    /// that resolves the store gets the daemon's handle rather than
-    /// inflating the generation counter (which would age cache entries
-    /// artificially fast under [`ArtifactStore::gc`]).
-    pub fn open_shared(root: impl AsRef<Path>) -> io::Result<ArtifactStore> {
-        let root_buf = root.as_ref().to_path_buf();
-        std::fs::create_dir_all(root_buf.join("objects"))?;
-        let key = std::fs::canonicalize(&root_buf).unwrap_or_else(|_| root_buf.clone());
-        // Hold the registry lock across the fallback open: two threads
-        // racing the first open of a root must not both bump.
-        let mut reg = shared_registry().lock().unwrap_or_else(|p| p.into_inner());
-        if let Some(inner) = reg.get(&key).and_then(Weak::upgrade) {
-            return Ok(ArtifactStore { inner });
-        }
-        let store = ArtifactStore::open(&root_buf)?;
-        reg.insert(key, Arc::downgrade(&store.inner));
-        Ok(store)
-    }
-
     /// The store's root directory.
     pub fn root(&self) -> &Path {
         &self.inner.root
@@ -244,15 +221,11 @@ impl ArtifactStore {
     /// (counted under `store.quarantined`) and read as a miss.
     pub fn get(&self, hash: &CanonicalHash) -> Option<StoredEntry> {
         let _span = snet_obs::span("store.lookup");
-        let path = self.entry_path(hash);
-        let mapped = match map_file(&path) {
-            Ok(m) => m,
-            Err(_) => {
-                snet_obs::counter("store.misses", 1);
-                return None;
-            }
+        let Ok(bytes) = std::fs::read(self.entry_path(hash)) else {
+            snet_obs::counter("store.misses", 1);
+            return None;
         };
-        match parse_entry(&mapped, Some(hash)) {
+        match parse_entry(&bytes, Some(hash)) {
             Ok((meta, payload)) => {
                 snet_obs::counter("store.hits", 1);
                 snet_obs::counter("store.bytes", payload.len() as u64);
@@ -264,7 +237,6 @@ impl ArtifactStore {
                 })
             }
             Err(_) => {
-                drop(mapped); // unmap before renaming the file away
                 snet_obs::counter("store.misses", 1);
                 self.quarantine(hash); // reported via counters; reads stay quiet
                 None
@@ -472,14 +444,20 @@ fn parse_header(text: &str) -> Result<EntryHeader, String> {
     })
 }
 
-/// Reads just the header of an entry file (maps the file, parses the
-/// first line, validates payload length — cheap integrity screen used by
-/// `ls`; the checksum is verified on `get`).
+/// Reads just the header line of an entry file and checks the payload
+/// length against the file's size — a cheap integrity screen for `ls`,
+/// which must not read whole TT spills; `get` verifies the checksum. A
+/// header longer than [`MAX_HEADER_BYTES`] is corrupt.
 fn read_entry_meta(path: &Path) -> Option<EntryMeta> {
-    let bytes = map_file(path).ok()?;
-    let nl = bytes.iter().position(|&b| b == b'\n')?;
-    let header = parse_header(std::str::from_utf8(&bytes[..nl]).ok()?).ok()?;
-    if (bytes.len() - nl - 1) as u64 != header.len {
+    let file = std::fs::File::open(path).ok()?;
+    let size = file.metadata().ok()?.len();
+    let mut line = Vec::new();
+    io::BufReader::new(file).take(MAX_HEADER_BYTES).read_until(b'\n', &mut line).ok()?;
+    if line.pop() != Some(b'\n') {
+        return None;
+    }
+    let header = parse_header(std::str::from_utf8(&line).ok()?).ok()?;
+    if size.checked_sub(line.len() as u64 + 1)? != header.len {
         return None;
     }
     // The filename must agree with the header.
@@ -491,7 +469,7 @@ fn read_entry_meta(path: &Path) -> Option<EntryMeta> {
         hash: header.hash,
         kind: header.kind,
         generation: header.generation,
-        bytes: bytes.len() as u64,
+        bytes: size,
         path: path.to_path_buf(),
     })
 }
@@ -499,12 +477,6 @@ fn read_entry_meta(path: &Path) -> Option<EntryMeta> {
 // ---------------------------------------------------------------------------
 // Filesystem plumbing.
 // ---------------------------------------------------------------------------
-
-/// Live [`Inner`]s by canonical root, for [`ArtifactStore::open_shared`].
-fn shared_registry() -> &'static Mutex<HashMap<PathBuf, Weak<Inner>>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<PathBuf, Weak<Inner>>>> = OnceLock::new();
-    REGISTRY.get_or_init(Default::default)
-}
 
 /// RAII advisory lock on `<root>/store.meta.lock`, guarding the meta
 /// file's read-modify-write. Created with `create_new` (atomic on every

@@ -31,34 +31,6 @@ fn concurrent_opens_get_distinct_generations() {
 }
 
 #[test]
-fn open_shared_reuses_the_live_handle_per_root() {
-    let root = scratch_root("shared");
-    let a = ArtifactStore::open_shared(&root).unwrap();
-    let b = ArtifactStore::open_shared(&root).unwrap();
-    assert_eq!(a.generation(), b.generation(), "live handles share one generation");
-
-    // Concurrent shared opens agree too.
-    let mut handles = Vec::new();
-    for _ in 0..6 {
-        let root = root.clone();
-        handles.push(std::thread::spawn(move || {
-            ArtifactStore::open_shared(&root).unwrap().generation()
-        }));
-    }
-    for h in handles {
-        assert_eq!(h.join().unwrap(), a.generation());
-    }
-
-    // Once every handle is gone, the next shared open bumps again.
-    let last = a.generation();
-    drop(a);
-    drop(b);
-    let fresh = ArtifactStore::open_shared(&root).unwrap();
-    assert_eq!(fresh.generation(), last + 1);
-    let _ = std::fs::remove_dir_all(&root);
-}
-
-#[test]
 fn writers_race_gc_without_corruption() {
     let root = scratch_root("race");
     let store = ArtifactStore::open(&root).unwrap();

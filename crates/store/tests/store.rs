@@ -139,6 +139,31 @@ fn temp_files_and_strangers_are_not_entries() {
 }
 
 #[test]
+fn ls_screens_each_header_against_the_file_size() {
+    let root = scratch_root("ls-screen");
+    let store = ArtifactStore::open(&root).unwrap();
+    let [whole, short, headless] =
+        ["whole", "short", "headless"].map(|l| CanonicalHash::of_label(&format!("ls-{l}")));
+    let whole_path = store.put(&whole, "blob", &[7u8; 4096]).unwrap();
+    let short_path = store.put(&short, "blob", &[8u8; 64]).unwrap();
+    let headless_path = store.put(&headless, "blob", b"x").unwrap();
+
+    // One payload byte lost; a header line with no end.
+    let bytes = std::fs::read(&short_path).unwrap();
+    std::fs::write(&short_path, &bytes[..bytes.len() - 1]).unwrap();
+    let bytes = std::fs::read(&headless_path).unwrap();
+    let nl = bytes.iter().position(|&b| b == b'\n').unwrap();
+    std::fs::write(&headless_path, &bytes[..nl]).unwrap();
+
+    let listed = store.ls().unwrap();
+    assert_eq!(listed.len(), 1, "only the intact entry lists");
+    assert_eq!(listed[0].hash, whole);
+    assert_eq!(listed[0].bytes, std::fs::metadata(&whole_path).unwrap().len());
+    assert!(!short_path.exists() && !headless_path.exists(), "damaged entries are moved aside");
+    assert_eq!(store.stat().unwrap().quarantined, 2);
+}
+
+#[test]
 fn gc_evicts_oldest_generations_first() {
     let root = scratch_root("gc");
     let hashes: Vec<CanonicalHash> =
