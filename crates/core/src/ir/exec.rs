@@ -7,6 +7,7 @@
 //! [`PassRecord`]s from compilation. It is immutable and `Sync`, so one
 //! compile is shared across worker threads.
 
+use super::image::FirstLevelImage;
 use super::passes::{PassManager, PassRecord};
 use super::program::Program;
 use crate::element::Element;
@@ -14,7 +15,9 @@ use crate::network::{CmpEvent, ComparatorNetwork};
 use crate::register::RegisterNetwork;
 use crate::sortcheck::SortCheck;
 use crate::zeroone::ZeroOneSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Parses an `SNET_THREADS`-style override. Only a trimmed positive
@@ -35,11 +38,13 @@ pub fn default_engine_threads() -> usize {
 }
 
 /// A progress snapshot from [`Executor::check_zero_one_with`]: how much
-/// of the `2ⁿ` input space has been scanned so far.
+/// of the `2ⁿ` input space has been covered so far.
 #[derive(Debug, Clone, Copy)]
 pub struct CheckProgress {
-    /// Inputs scanned so far (monotone; may stop short of `total` when a
-    /// counterexample ends the scan early).
+    /// Inputs covered so far: scanned, or stood for by the checked part
+    /// of the first level's image. Monotone and at most `total`; reaches
+    /// it when the network sorts, and may stop short when a
+    /// counterexample ends the check early.
     pub done: u64,
     /// Total input count (`2ⁿ`).
     pub total: u64,
@@ -79,11 +84,11 @@ impl CheckProgress {
     }
 }
 
-/// Shared progress state for one exhaustive check: a single atomic the
-/// workers add scanned-input counts to, surfaced as obs events and
+/// Shared progress state for one exhaustive check: a running total the
+/// workers add covered-input counts to, surfaced as obs events and
 /// through the caller's reporter.
 struct ProgressTracker<'a> {
-    done: AtomicU64,
+    done: Mutex<u64>,
     total: u64,
     t0: Instant,
     reporter: Option<&'a (dyn Fn(CheckProgress) + Sync)>,
@@ -91,20 +96,20 @@ struct ProgressTracker<'a> {
 
 impl ProgressTracker<'_> {
     fn new(total: u64, reporter: Option<&(dyn Fn(CheckProgress) + Sync)>) -> ProgressTracker<'_> {
-        ProgressTracker { done: AtomicU64::new(0), total, t0: Instant::now(), reporter }
+        ProgressTracker { done: Mutex::new(0), total, t0: Instant::now(), reporter }
     }
 
-    /// True iff recording progress reaches anyone — lets the scan paths
-    /// skip chunking entirely when nobody is listening.
-    fn active(&self) -> bool {
-        self.reporter.is_some() || snet_obs::enabled()
-    }
-
-    /// Credits `scanned` freshly-checked inputs and publishes a snapshot.
-    fn record(&self, scanned: u64) {
-        let done = (self.done.fetch_add(scanned, Ordering::Relaxed) + scanned).min(self.total);
-        let p = CheckProgress { done, total: self.total, elapsed: self.t0.elapsed() };
-        snet_obs::counter("check.inputs", scanned);
+    /// Credits `covered` inputs and publishes a snapshot. Publishing under
+    /// the lock keeps `done` monotone across workers.
+    fn record(&self, covered: u64) {
+        let mut done = self.done.lock().expect("a progress reporter panicked");
+        *done += covered;
+        let p = CheckProgress {
+            done: (*done).min(self.total),
+            total: self.total,
+            elapsed: self.t0.elapsed(),
+        };
+        snet_obs::counter("check.inputs", covered);
         if snet_obs::enabled() {
             let mut attrs = vec![
                 ("done".to_string(), p.done.to_string()),
@@ -119,6 +124,59 @@ impl ProgressTracker<'_> {
         if let Some(r) = self.reporter {
             r(p);
         }
+    }
+}
+
+/// The exhaustive check's prefix: inputs `0..IMAGE_PREFIX` are scanned
+/// before the first level's image is checked, and only checks over more
+/// inputs take the image path. A non-sorting network with many failing
+/// inputs ends inside the prefix.
+const IMAGE_PREFIX: u64 = 1 << 16;
+
+/// Runs `work` over claims that partition `0..units`, taken in increasing
+/// order from one cursor. One worker runs inline, in at most 256 claims of
+/// at least 256 units so progress stays coarse. More run on scoped
+/// threads, about 8 claims each so stragglers rebalance, each claim in a
+/// `check.shard` span under `check`. A worker stops when `work` returns
+/// false; `scratch` makes its reusable state.
+fn for_each_claim<S>(
+    units: u64,
+    threads: usize,
+    check: u64,
+    phase: &'static str,
+    scratch: impl Fn() -> S + Sync,
+    work: impl Fn(&mut S, Range<u64>) -> bool + Sync,
+) {
+    let claim = if threads == 1 {
+        units.div_ceil(256).max(256)
+    } else {
+        units.div_ceil(8 * threads as u64)
+    };
+    let cursor = AtomicU64::new(0);
+    let worker = || {
+        let mut s = scratch();
+        loop {
+            let k = cursor.fetch_add(1, Ordering::Relaxed);
+            let start = k * claim;
+            if start >= units {
+                break;
+            }
+            let _span = (threads > 1).then(|| {
+                snet_obs::span_under("check.shard", check).attr("shard", k).attr("phase", phase)
+            });
+            if !work(&mut s, start..(start + claim).min(units)) {
+                break;
+            }
+        }
+    };
+    if threads == 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..threads {
+                scope.spawn(worker);
+            }
+        });
     }
 }
 
@@ -359,7 +417,9 @@ impl Executor {
 
     /// The lowest 0-1 input index the network fails to sort, scanning
     /// sequentially over all `2ⁿ` inputs (64 per pass). `None` means the
-    /// network sorts (definitive by the 0-1 principle).
+    /// network sorts. This is the full-scan reference the differential
+    /// tests hold [`check_zero_one`](Self::check_zero_one) and its image
+    /// path to; checkers call `check_zero_one`.
     pub fn first_unsorted_01(&self) -> Option<u64> {
         let n = self.wires();
         assert!(n <= 32, "exhaustive check caps at n = 32");
@@ -396,20 +456,30 @@ impl Executor {
     /// Exhaustive 0-1 sorting check over all `2ⁿ` inputs, sharded across
     /// `threads` workers. Deterministic: the reported counterexample is
     /// always the **lowest** failing input index regardless of thread
-    /// interleaving, value-identical to
-    /// [`crate::sortcheck::check_zero_one_exhaustive`]. Panics if
-    /// `n > 30`.
+    /// interleaving, and a sorting network gets `AllSorted { tested: 2ⁿ }`.
+    /// [`crate::sortcheck::check_zero_one_exhaustive`] is this with one
+    /// thread. Panics if `n > 30`.
+    ///
+    /// A route-free program over more than `2¹⁶` inputs that starts with
+    /// comparators is checked on its first level's image: the rest of the
+    /// program runs on the `3^p · 2^(n−2p)` vectors `p` leading disjoint
+    /// comparators can output, which by the 0-1 principle covers every
+    /// input. Inputs `0..2¹⁶` are scanned first; if some image vector comes
+    /// out unsorted, the scan resumes at `2¹⁶`, so the counterexample is
+    /// still the lowest failing index. Other programs are scanned in full.
     pub fn check_zero_one(&self, threads: usize) -> SortCheck {
         self.check_zero_one_with(threads, None)
     }
 
     /// [`check_zero_one`](Self::check_zero_one) with progress reporting:
     /// `reporter` (if any) is called from worker threads with monotone
-    /// [`CheckProgress`] snapshots as shards complete. Progress is also
+    /// [`CheckProgress`] snapshots as claims complete. Progress is also
     /// published as obs events (`check.inputs` counter,
-    /// `check.zero_one.progress` gauge, one `check.shard` span per shard)
-    /// when a sink is installed; with no sink and no reporter the scan is
-    /// identical to the unreported one.
+    /// `check.zero_one.progress` gauge, one `check.shard` span per claim
+    /// when sharded) when a sink is installed. The image path credits the
+    /// `2ⁿ − 2¹⁶` inputs the prefix scan leaves in proportion to the image
+    /// blocks checked, so a sorting check's progress ends at exactly `2ⁿ`;
+    /// a resumed scan credits the inputs it scans again.
     pub fn check_zero_one_with(
         &self,
         threads: usize,
@@ -419,114 +489,115 @@ impl Executor {
         assert!(n <= 30, "exhaustive 0-1 check limited to n <= 30 (got {n})");
         let total: u64 = 1u64 << n;
         let threads = threads.max(1);
-        let best = AtomicU64::new(u64::MAX);
         let mut span = snet_obs::span("check.zero_one")
             .attr("wires", n)
             .attr("total", total)
             .attr("threads", threads);
+        let image = if total > IMAGE_PREFIX { FirstLevelImage::of(&self.program) } else { None };
+        if let Some(image) = &image {
+            span.add_attr("image", image.size());
+            span.add_attr("lanes", image.lanes());
+        }
+        let check = span.id();
         let progress = ProgressTracker::new(total, reporter);
-
-        // Small spaces (or explicit single-thread): scan inline. The
-        // threshold keeps thread spawn/join overhead away from
-        // sub-millisecond checks.
-        let result = if threads == 1 || total <= (1 << 16) {
-            self.check_sequential(total, &best, &progress)
-        } else {
-            self.check_sharded(total, threads, &best, &progress, span.id())
+        let scan = |from, to| self.scan(from, to, threads, &progress, check);
+        let found = match &image {
+            None => scan(0, total),
+            Some(image) => scan(0, IMAGE_PREFIX).or_else(|| {
+                if self.image_sorts(image, threads, &progress, check) {
+                    None
+                } else {
+                    scan(IMAGE_PREFIX, total)
+                }
+            }),
         };
-        span.add_attr("sorted", matches!(result, SortCheck::AllSorted { .. }));
-        result
+        span.add_attr("sorted", found.is_none());
+        match found {
+            None => SortCheck::AllSorted { tested: total },
+            Some(idx) => self.counterexample_at(idx),
+        }
     }
 
-    /// Inline scan for small spaces. Chunked only when someone is
-    /// observing, so the unobserved path stays a single `scan_range`.
-    fn check_sequential(
+    /// The lowest unsorted input in `from..to`. Ranges of at most
+    /// `IMAGE_PREFIX` inputs are scanned inline, which keeps thread
+    /// spawn/join away from sub-millisecond scans.
+    fn scan(
         &self,
-        total: u64,
-        best: &AtomicU64,
-        progress: &ProgressTracker<'_>,
-    ) -> SortCheck {
-        let n = self.wires();
-        let mut slots = vec![0u64; n];
-        let mut route_scratch = Vec::new();
-        if !progress.active() {
-            if let Some(idx) =
-                self.scan_range(0, total, total, best, &mut slots, &mut route_scratch)
-            {
-                return self.counterexample_at(idx);
-            }
-            return SortCheck::AllSorted { tested: total };
-        }
-        // ≤ 256 progress samples, floored so tiny spaces take one chunk.
-        let chunk = (total / 256).next_multiple_of(64).max(1 << 14);
-        let mut from = 0u64;
-        while from < total {
-            let to = (from + chunk).min(total);
-            if let Some(idx) =
-                self.scan_range(from, to, total, best, &mut slots, &mut route_scratch)
-            {
-                progress.record(idx + 1 - from);
-                return self.counterexample_at(idx);
-            }
-            progress.record(to - from);
-            from = to;
-        }
-        SortCheck::AllSorted { tested: total }
-    }
-
-    /// Sharded scan across `threads` workers, which claim shards in index
-    /// order from one atomic cursor.
-    fn check_sharded(
-        &self,
-        total: u64,
+        from: u64,
+        to: u64,
         threads: usize,
-        best: &AtomicU64,
         progress: &ProgressTracker<'_>,
-        check_span: u64,
-    ) -> SortCheck {
+        check: u64,
+    ) -> Option<u64> {
         let n = self.wires();
-        // Lane-aligned shards, sized for ~8 claims per worker so
-        // stragglers rebalance; claimed in increasing order so "lowest
-        // index wins" needs no post-hoc reconciliation.
-        let shard = (total / (threads as u64 * 8)).next_multiple_of(64).max(64);
-        let shard_count = total.div_ceil(shard);
-        let cursor = AtomicU64::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| {
-                    let mut slots = vec![0u64; n];
-                    let mut route_scratch = Vec::new();
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        if k >= shard_count {
-                            break;
-                        }
-                        let from = k * shard;
-                        if from >= best.load(Ordering::Acquire) {
-                            // Every unclaimed shard starts even later;
-                            // nothing below the known minimum is left.
-                            break;
-                        }
-                        let to = (from + shard).min(total);
-                        let span = snet_obs::span_under("check.shard", check_span).attr("shard", k);
-                        let found =
-                            self.scan_range(from, to, total, best, &mut slots, &mut route_scratch);
-                        drop(span);
-                        if let Some(idx) = found {
-                            best.fetch_min(idx, Ordering::AcqRel);
-                            progress.record(idx + 1 - from);
-                        } else {
-                            progress.record(to - from);
-                        }
+        let total = 1u64 << n;
+        let threads = if to - from <= IMAGE_PREFIX { 1 } else { threads };
+        let best = AtomicU64::new(u64::MAX);
+        for_each_claim(
+            (to - from).div_ceil(64),
+            threads,
+            check,
+            "scan",
+            || (vec![0u64; n], Vec::new()),
+            |(slots, route_scratch), blocks| {
+                let lo = from + 64 * blocks.start;
+                if lo >= best.load(Ordering::Acquire) {
+                    // Every later claim starts even later; nothing below
+                    // the known minimum is left.
+                    return false;
+                }
+                let hi = (from + 64 * blocks.end).min(to);
+                match self.scan_range(lo, hi, total, &best, slots, route_scratch) {
+                    Some(idx) => {
+                        best.fetch_min(idx, Ordering::AcqRel);
+                        progress.record(idx + 1 - lo);
+                        false
                     }
-                });
-            }
-        });
-
+                    None => {
+                        progress.record(hi - lo);
+                        true
+                    }
+                }
+            },
+        );
         match best.load(Ordering::Acquire) {
-            u64::MAX => SortCheck::AllSorted { tested: total },
-            idx => self.counterexample_at(idx),
+            u64::MAX => None,
+            idx => Some(idx),
         }
+    }
+
+    /// True iff the rest of the program sorts every vector of the first
+    /// level's image. Each claim of image blocks credits its share of the
+    /// inputs the prefix scan left.
+    fn image_sorts(
+        &self,
+        image: &FirstLevelImage,
+        threads: usize,
+        progress: &ProgressTracker<'_>,
+        check: u64,
+    ) -> bool {
+        let rest = (1u64 << self.wires()) - IMAGE_PREFIX;
+        let blocks = image.blocks();
+        let share = |b: u64| rest * b / blocks;
+        let failed = AtomicBool::new(false);
+        for_each_claim(
+            blocks,
+            threads,
+            check,
+            "image",
+            || image.scratch(),
+            |s, claim| {
+                if !image.sorts_blocks(&self.program, claim.clone(), &failed, s) {
+                    failed.store(true, Ordering::Relaxed);
+                }
+                if failed.load(Ordering::Relaxed) {
+                    return false;
+                }
+                progress.record(share(claim.end) - share(claim.start));
+                true
+            },
+        );
+        !failed.load(Ordering::Relaxed)
     }
 
     /// Rebuilds the [`SortCheck::Counterexample`] for input index `idx` by
@@ -663,33 +734,51 @@ mod tests {
 
     #[test]
     fn check_progress_reporter_reaches_total_and_is_monotone() {
-        use crate::element::{Element, ElementKind};
-        use crate::network::Level;
-        // Odd-even transposition sort on 8 wires: sorts, so the scan runs
-        // to completion and progress must reach 2^8.
-        let n = 8usize;
-        let levels = (0..n)
-            .map(|pass| {
-                Level::of_elements(
-                    (pass % 2..n - 1)
-                        .step_by(2)
-                        .map(|w| Element { a: w as u32, b: w as u32 + 1, kind: ElementKind::Cmp })
-                        .collect(),
-                )
-            })
-            .collect();
-        let net = ComparatorNetwork::new(n, levels).expect("valid network");
-        let exec = Executor::compile(&net);
-        let seen: Mutex<Vec<CheckProgress>> = Mutex::new(Vec::new());
-        let reporter = |p: CheckProgress| seen.lock().unwrap().push(p);
-        let result = exec.check_zero_one_with(1, Some(&reporter));
-        assert!(matches!(result, SortCheck::AllSorted { .. }));
-        let seen = seen.into_inner().unwrap();
-        assert!(!seen.is_empty(), "reporter saw at least one snapshot");
-        assert_eq!(seen.last().unwrap().done, 1 << 8);
-        assert_eq!(seen.last().unwrap().total, 1 << 8);
-        assert!(seen.windows(2).all(|w| w[0].done <= w[1].done));
-        assert!((seen.last().unwrap().fraction() - 1.0).abs() < 1e-12);
+        use snet_obs::EventKind;
+        // Odd-even transposition sorts, so each check runs to completion
+        // and progress must reach 2^n: at n = 8 by the plain scan, at
+        // n = 18 on the first level's image, inline and sharded.
+        for (n, threads) in [(8usize, 1usize), (18, 1), (18, 2)] {
+            let exec = Executor::compile(&odd_even_transposition(n, n));
+            let seen: Mutex<Vec<CheckProgress>> = Mutex::new(Vec::new());
+            let reporter = |p: CheckProgress| seen.lock().unwrap().push(p);
+            let mut result = None;
+            let events = snet_obs::test_capture(|| {
+                result = Some(exec.check_zero_one_with(threads, Some(&reporter)));
+            });
+            assert_eq!(result, Some(SortCheck::AllSorted { tested: 1 << n }));
+            let seen = seen.into_inner().unwrap();
+            assert!(!seen.is_empty(), "reporter saw at least one snapshot");
+            assert_eq!(seen.last().unwrap().done, 1 << n);
+            assert_eq!(seen.last().unwrap().total, 1 << n);
+            assert!(seen.windows(2).all(|w| w[0].done <= w[1].done), "n={n} t={threads}");
+            assert!((seen.last().unwrap().fraction() - 1.0).abs() < 1e-12);
+
+            // The sink is global: keep this thread's check and its shards.
+            let me = snet_obs::thread_ordinal();
+            let check = events
+                .iter()
+                .find(|e| {
+                    e.kind == EventKind::SpanEnd && e.name == "check.zero_one" && e.thread == me
+                })
+                .expect("the check's span");
+            let image = (n > 16).then(|| 3u64.pow(n as u32 / 2).to_string());
+            assert_eq!(check.attr("image").map(str::to_string), image, "n={n}");
+            let ours: Vec<u64> = events
+                .iter()
+                .filter(|e| e.kind == EventKind::SpanEnd && e.name == "check.shard")
+                .filter(|e| e.parent == check.id)
+                .map(|e| e.id)
+                .chain([check.id])
+                .collect();
+            let inputs: f64 = events
+                .iter()
+                .filter(|e| e.kind == EventKind::Counter && e.name == "check.inputs")
+                .filter(|e| ours.contains(&e.parent))
+                .map(|e| e.value)
+                .sum();
+            assert_eq!(inputs, (1u64 << n) as f64, "check.inputs covers every input once");
+        }
     }
 
     /// Brute-force reachable output set: evaluate every 0-1 input and

@@ -15,6 +15,9 @@
 //! * [`exec`] — [`Executor`]: one compiled handle over the scalar,
 //!   64-lane 0-1, sharded-verification, and batched map-reduce backends.
 //!   Every crate in the workspace evaluates through this.
+//! * `image` — the first level's image packed into 64-lane blocks, which
+//!   [`Executor::check_zero_one`] checks in place of most of the `2ⁿ`
+//!   inputs.
 //! * [`canon`] — [`CanonicalHash`]: SHA-256 content addressing over the
 //!   canonical form, the key of the `snet-store` artifact cache.
 //!
@@ -24,6 +27,7 @@
 
 pub mod canon;
 pub mod exec;
+mod image;
 pub mod passes;
 pub mod program;
 

@@ -489,6 +489,17 @@ impl Program {
         }
     }
 
+    /// Replays ops `from..` of a route-free program over 64-lane slot
+    /// words, without the output gather: the rest of the network after a
+    /// prefix the caller has already applied.
+    #[inline]
+    pub(crate) fn run_suffix_01x64(&self, from: usize, slots: &mut [u64]) {
+        debug_assert!(!self.has_routes(), "a routed program runs level by level");
+        for op in &self.ops[from..] {
+            Self::apply_lanes(op, slots);
+        }
+    }
+
     /// 64-lane 0-1 evaluation in place: `lanes[w]` carries bit `i` = the
     /// value of input `i` on wire `w`. Includes the output gather.
     pub fn run_01x64_in_place(&self, lanes: &mut [u64], scratch: &mut Vec<u64>) {

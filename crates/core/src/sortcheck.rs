@@ -30,7 +30,9 @@ pub enum SortCheck {
     /// Every tested input was sorted. For the exhaustive checkers this is a
     /// proof; for the randomized checker it is only evidence.
     AllSorted {
-        /// Number of inputs exercised.
+        /// Number of inputs covered: `2ⁿ` for the exhaustive checkers,
+        /// even where they evaluate only the first level's image (which
+        /// stands for every input); the trial count for the randomized one.
         tested: u64,
     },
     /// A counterexample input whose output is not sorted.
@@ -49,22 +51,13 @@ impl SortCheck {
     }
 }
 
-/// Exhaustively checks all `2ⁿ` zero-one inputs (compiled, 64 inputs per
-/// pass, lowest failing index first). By the 0-1 principle the result is
-/// definitive for arbitrary inputs. Panics if `n > 30` (would not
-/// terminate in reasonable time anyway).
+/// Exhaustively checks all `2ⁿ` zero-one inputs: compiles and runs
+/// [`Executor::check_zero_one`] on one thread (lowest failing index
+/// first; above `2¹⁶` inputs, usually on the first level's image). By the
+/// 0-1 principle the result is definitive for arbitrary inputs. Panics if
+/// `n > 30` (would not terminate in reasonable time anyway).
 pub fn check_zero_one_exhaustive(net: &ComparatorNetwork) -> SortCheck {
-    let n = net.wires();
-    assert!(n <= 30, "exhaustive 0-1 check limited to n <= 30 (got {n})");
-    let exec = Executor::compile(net);
-    match exec.first_unsorted_01() {
-        None => SortCheck::AllSorted { tested: 1u64 << n },
-        Some(idx) => {
-            let input: Vec<u32> = (0..n).map(|w| ((idx >> w) & 1) as u32).collect();
-            let output = exec.evaluate(&input);
-            SortCheck::Counterexample { input, output }
-        }
-    }
+    Executor::compile(net).check_zero_one(1)
 }
 
 /// Exhaustively checks all `n!` permutation inputs. Only sensible for tiny

@@ -30,7 +30,9 @@ pub const VERDICT_SCHEMA: &str = "snet-verdict/1";
 pub enum VerdictKind {
     /// Every 0-1 input sorts: a proof by the 0-1 principle.
     SortCertificate {
-        /// Number of inputs exercised (`2ⁿ` for the exhaustive checker).
+        /// Number of inputs covered: `2ⁿ` for the exhaustive checker, which
+        /// may evaluate only the first level's image (see
+        /// [`crate::ir::Executor::check_zero_one`]).
         tested: u64,
     },
     /// The network fails; `input` is the **lowest** failing 0-1 input

@@ -133,7 +133,7 @@ fn help_for(dotted: &str) -> &'static str {
         "runtime.traversals" => "Tokens that fully traversed the counting network",
         "runtime.balancer_ops" => "Total balancer visits absorbed by the network",
         "runtime.balancer.visits" => "Visits per balancer (flat means even load spread)",
-        "check.inputs" => "0-1 input vectors checked",
+        "check.inputs" => "0-1 inputs covered by exhaustive checks",
         "ir.pass.ns" => "Wall nanoseconds per IR pass run",
         "sched.schedules" => "Interleaving schedules explored",
         "sched.failing" => "Schedules that violated the step property",
