@@ -5,29 +5,31 @@
 
 use snet_bench::{run_experiment, ExpConfig};
 
+/// Exit code 2 with `msg`: a flag, or a flag value, this binary does
+/// not take.
+fn bad_flag(msg: &str) -> ! {
+    eprintln!("experiments: {msg}");
+    std::process::exit(2)
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ExpConfig::default();
     let mut id = String::from("all");
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| bad_flag(&format!("{arg} takes a value")));
+        match arg.as_str() {
             "--full" => cfg.full = true,
             "--seed" => {
-                i += 1;
-                cfg.seed = args[i].parse().expect("--seed takes a u64");
+                cfg.seed = value().parse().unwrap_or_else(|_| bad_flag("--seed takes a u64"))
             }
             "--threads" => {
-                i += 1;
-                cfg.threads = args[i].parse().expect("--threads takes a count");
+                cfg.threads =
+                    value().parse().unwrap_or_else(|_| bad_flag("--threads takes a count"))
             }
             other if !other.starts_with('-') => id = other.to_string(),
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
+            other => bad_flag(&format!("unknown flag {other}")),
         }
-        i += 1;
     }
     println!(
         "shufflebound experiments — id={id} seed={} full={} threads={}\n",

@@ -8,7 +8,8 @@
 //! cargo run --release -p snet-bench --bin experiments -- e3 --full
 //! ```
 //!
-//! Criterion micro-benchmarks live under `benches/`.
+//! The `baselines` binary, the workspace's one timing harness, records
+//! every committed `results/baselines/*.json` measurement.
 //!
 //! The experiments share seeded [`workload`] generators, sortedness
 //! [`metrics`], a deterministic parallel [`sweep`][mod@sweep] driver,

@@ -270,21 +270,28 @@ fn has_flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// Fails on any argument after the first (the input file) that is not
-/// one of `switches` or a `valued` flag with its value: a misspelt flag
-/// must not silently change what a command checks.
+/// Fails on any argument that is not one of `switches`, a `valued` flag
+/// with its value, or one of at most `positional` other arguments (the
+/// command's files, ids or subcommand): a misspelt flag must not
+/// silently change what a command does. Every command but `serve`
+/// (whose parser is strict already) calls this before doing anything.
 fn reject_unknown_flags(
     command: &str,
     args: &[String],
+    positional: usize,
     switches: &[&str],
     valued: &[&str],
 ) -> Result<(), String> {
-    let mut rest = args.iter().skip(1);
+    let mut positionals = 0;
+    let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if valued.contains(&arg.as_str()) {
             rest.next().ok_or_else(|| format!("{arg} requires a value"))?;
         } else if !switches.contains(&arg.as_str()) {
-            return Err(format!("{command} does not take '{arg}' (try --help)"));
+            if arg.starts_with('-') || positionals == positional {
+                return Err(format!("{command} does not take '{arg}' (try --help)"));
+            }
+            positionals += 1;
         }
     }
     Ok(())
@@ -295,6 +302,13 @@ fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(
+        "gen",
+        args,
+        0,
+        &[],
+        &["--kind", "--n", "-o", "--seed", "--depth", "--stages", "--blocks"],
+    )?;
     let kind = flag(args, "--kind").ok_or("gen requires --kind")?;
     let n: usize = parse(flag(args, "--n").ok_or("gen requires --n")?, "--n")?;
     let out = flag(args, "-o").ok_or("gen requires -o FILE")?;
@@ -359,6 +373,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("info", args, 1, &[], &[])?;
     let path = args.first().ok_or("info requires FILE")?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
@@ -377,13 +392,14 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
-    let path = args.first().ok_or("check requires FILE")?;
     reject_unknown_flags(
         "check",
         args,
+        1,
         &["--exhaustive", "--no-passes", "--no-store"],
         &["--threads", "--trials", "--seed", "--verdict-out", "--store"],
     )?;
+    let path = args.first().ok_or("check requires FILE")?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
     // `--no-passes` runs the IR without the canonical pipeline: the raw
@@ -490,6 +506,13 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_refute(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(
+        "refute",
+        args,
+        1,
+        &["--explain", "--no-store"],
+        &["-o", "--k", "--store"],
+    )?;
     let path = args.first().ok_or("refute requires FILE")?;
     let ird = NetworkFile::load(path)?.adversary_input(path)?;
     let l = ird.wires().trailing_zeros() as usize;
@@ -539,6 +562,7 @@ fn cmd_refute(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("verify", args, 2, &[], &[])?;
     let net_path = args.first().ok_or("verify requires FILE WITNESS")?;
     let wit_path = args.get(1).ok_or("verify requires FILE WITNESS")?;
     let doc = NetworkFile::load(net_path)?;
@@ -559,6 +583,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_route(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("route", args, 0, &[], &["--n", "--seed", "--perm"])?;
     let n: usize = parse(flag(args, "--n").ok_or("route requires --n")?, "--n")?;
     let perm = if let Some(spec) = flag(args, "--perm") {
         let images: Result<Vec<u32>, _> = spec.split(',').map(|s| s.trim().parse()).collect();
@@ -581,6 +606,13 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
 
 fn cmd_search(args: &[String]) -> Result<(), String> {
     use snet_search::{SearchConfig, SearchMode};
+    reject_unknown_flags(
+        "search",
+        args,
+        0,
+        &["--shuffle-legal", "--stats", "--no-store"],
+        &["--n", "--max-depth", "--threads", "--store", "--frontier-out", "-o"],
+    )?;
     let n: usize = parse(flag(args, "--n").ok_or("search requires --n")?, "--n")?;
     if !(2..=16).contains(&n) {
         return Err(format!("search supports 2 <= n <= 16 (got {n})"));
@@ -754,6 +786,7 @@ fn write_frontier(outcome: &snet_search::SearchOutcome, path: &str) -> Result<()
 }
 
 fn cmd_render(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("render", args, 1, &["--svg", "--dot"], &[])?;
     let path = args.first().ok_or("render requires FILE")?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
@@ -773,6 +806,7 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("stats", args, 1, &[], &["--trials", "--seed"])?;
     let path = args.first().ok_or("stats requires FILE")?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
@@ -813,6 +847,7 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_passes(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("passes", args, 1, &[], &[])?;
     let path = args.first().ok_or("passes requires FILE")?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
@@ -873,6 +908,7 @@ fn human_nanos(ns: u128) -> String {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("report", args, 1, &[], &["--chrome"])?;
     let mut args = args.to_vec();
     let chrome_out = take_flag_value(&mut args, "--chrome")?;
     let path = args.first().ok_or("report requires TRACE.jsonl")?;
@@ -911,6 +947,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 /// per-line and end-of-screen erases (never a full clear), so a frame
 /// that shrinks leaves no stale lines and the repaint never flickers.
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("metrics", args, 1, &[], &["--watch"])?;
     let mut args = args.to_vec();
     let watch = take_flag_value(&mut args, "--watch")?;
     let path = args.first().cloned();
@@ -1015,6 +1052,13 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         "query requires a subcommand (try check, adversary, search, job, cancel, health, \
          metrics, debug, trace)",
     )?;
+    let (positional, switches, valued): (usize, &[&str], &[&str]) = match sub.as_str() {
+        "check" | "job" | "cancel" | "trace" => (2, &[], &[]),
+        "adversary" => (2, &[], &["--k"]),
+        "search" => (1, &["--shuffle-legal"], &["--n", "--max-depth", "--threads"]),
+        _ => (1, &[], &[]),
+    };
+    reject_unknown_flags(&format!("query {sub}"), &args, positional, switches, valued)?;
     let tctx = snet_obs::TraceContext::generate();
     let qspan = snet_obs::span("query.request")
         .attr(snet_obs::TRACE_ATTR, tctx.trace.to_hex())
@@ -1204,6 +1248,7 @@ fn print_query_answer(resp: &snet_service::client::Response) -> Result<String, S
 /// the span-tree report.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     use snet_service::client;
+    reject_unknown_flags("trace", args, 1, &[], &["--addr", "--client", "--chrome", "-o"])?;
     let mut args = args.to_vec();
     let addr =
         take_flag_value(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7421".to_string());
@@ -1342,6 +1387,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
 
 fn cmd_bench_diff(args: &[String]) -> Result<(), String> {
     use snet_obs::baseline;
+    reject_unknown_flags("bench diff", args, 1, &[], &["--against", "--fail-on-regress"])?;
     let new_path = args.first().ok_or("bench diff requires NEW.json")?;
     let new = baseline::Baseline::load(std::path::Path::new(new_path))?;
     let against = match flag(args, "--against") {
@@ -1364,6 +1410,7 @@ fn cmd_bench_diff(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_closure(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags("closure", args, 0, &[], &["--n", "--rho", "--seed"])?;
     let n: usize = parse(flag(args, "--n").ok_or("closure requires --n")?, "--n")?;
     let rho_name = flag(args, "--rho").unwrap_or("shuffle");
     let rho = match rho_name {
@@ -1396,6 +1443,7 @@ fn cmd_duel(args: &[String]) -> Result<(), String> {
     use snet_adversary::adaptive::AdaptiveRun;
     use snet_core::element::ElementKind;
     use std::io::BufRead;
+    reject_unknown_flags("duel", args, 0, &[], &["--n", "--k"])?;
     let n: usize = parse(flag(args, "--n").ok_or("duel requires --n")?, "--n")?;
     snet_topology::ShuffleNetwork::try_new(n, Vec::new())?;
     let l = n.trailing_zeros() as usize;
@@ -1444,6 +1492,7 @@ fn cmd_duel(args: &[String]) -> Result<(), String> {
 
 fn cmd_certify(args: &[String]) -> Result<(), String> {
     use snet_adversary::LowerBoundCertificate;
+    reject_unknown_flags("certify", args, 1, &["--no-store"], &["-o", "--k", "--store"])?;
     let path = args.first().ok_or("certify requires FILE")?;
     let out_path = flag(args, "-o").ok_or("certify requires -o CERT")?;
     let ird = NetworkFile::load(path)?.adversary_input(path)?;
@@ -1476,6 +1525,7 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
 
 fn cmd_audit(args: &[String]) -> Result<(), String> {
     use snet_adversary::LowerBoundCertificate;
+    reject_unknown_flags("audit", args, 1, &[], &["--samples", "--seed"])?;
     let path = args.first().ok_or("audit requires CERT")?;
     let samples: usize = parse(flag(args, "--samples").unwrap_or("300"), "--samples")?;
     let seed: u64 = parse(flag(args, "--seed").unwrap_or("0"), "--seed")?;
@@ -1508,9 +1558,16 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
 /// The store comes from `--store DIR` or `SNET_STORE`. `get` exits with
 /// code 10 when the requested entry exists but is corrupt.
 fn cmd_store(args: &[String]) -> Result<(), String> {
+    let sub = args.first().map(String::as_str);
+    let (positional, valued): (usize, &[&str]) = match sub {
+        Some("get") => (2, &["--store"]),
+        Some("gc") => (1, &["--store", "--max-bytes"]),
+        _ => (1, &["--store"]),
+    };
+    reject_unknown_flags("store", args, positional, &["--no-store"], valued)?;
     let store = resolve_store(args)?
         .ok_or("store commands need --store DIR or the SNET_STORE environment variable")?;
-    match args.first().map(String::as_str) {
+    match sub {
         Some("ls") => {
             let entries = store.ls().map_err(|e| e.to_string())?;
             println!("{:<16} {:<10} {:>10} {:>10}  summary", "hash", "kind", "gen", "bytes");
@@ -1630,6 +1687,13 @@ fn resolve_hash(store: &ArtifactStore, hex: &str) -> Result<snet_core::ir::Canon
 /// any step-property violation; explorer counterexamples are printed as
 /// replayable decision strings and recorded in the run manifest.
 fn cmd_count(args: &[String]) -> Result<(), String> {
+    reject_unknown_flags(
+        "count",
+        args,
+        0,
+        &["--explore", "--exhaustive"],
+        &["--width", "--threads", "--ops", "--kind", "--seed", "--schedules"],
+    )?;
     let width: usize = parse(flag(args, "--width").unwrap_or("8"), "--width")?;
     if !width.is_power_of_two() {
         return Err("--width must be a power of two".into());

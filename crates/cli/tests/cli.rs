@@ -51,25 +51,65 @@ fn gen_info_check_roundtrip_bitonic() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("sorted all 65536"));
 }
 
+/// Every subcommand but `serve` (whose parser is strict already) exits 1
+/// on an argument it does not read, or a valued flag with no value,
+/// naming it and before doing anything: an ignored misspelt flag would
+/// silently change the run (`check --exhaustve` reporting random trials
+/// in place of the proof, `gen --sed 7` writing the seed-0 network,
+/// `search --max-dept 3` searching without the bound).
 #[test]
 fn check_rejects_flags_it_does_not_read() {
-    // A misspelt --exhaustive used to fall back to 10,000 random trials
-    // and exit 0: a sampled pass reported in place of the proof.
     let f = tmpfile("misspelt-flags.json");
     let out = snetctl(&["gen", "--kind", "bitonic", "--n", "8", "-o", &f]);
     assert!(out.status.success());
-    for (args, named) in [
+    let unwritten = tmpfile("misspelt-flags-unwritten.json");
+    let _ = std::fs::remove_file(&unwritten);
+    let store = tmpfile("misspelt-flags-store");
+    let _ = std::fs::remove_dir_all(&store);
+    let gen = ["gen", "--kind", "random-shuffle", "--n", "16", "--depth", "4"];
+    let cases = [
         (vec!["check", &f, "--exhaustve"], "--exhaustve"),
         (vec!["check", &f, "--exhaustive", "--thread", "1"], "--thread"),
         (vec!["check", &f, "stray"], "stray"),
         (vec!["check", &f, "--exhaustive", "--threads"], "--threads"),
-    ] {
+        ([&gen[..], &["--sed", "7", "-o", &unwritten]].concat(), "--sed"),
+        ([&gen[..], &["-o", &unwritten, "--seed"]].concat(), "--seed"),
+        (vec!["info", &f, &f], &f),
+        (vec!["refute", &f, "--kk", "3"], "--kk"),
+        (vec!["verify", &f, &f, &f], &f),
+        (vec!["route", "--n", "8", "--sed", "3"], "--sed"),
+        (vec!["search", "--n", "5", "--max-dept", "3"], "--max-dept"),
+        (vec!["search", "--n", "5", "--threads"], "--threads"),
+        (vec!["render", &f, "--png"], "--png"),
+        (vec!["stats", &f, "--trial", "10"], "--trial"),
+        (vec!["passes", &f, "--optimize"], "--optimize"),
+        (vec!["certify", &f, "-o", &unwritten, "--kk", "3"], "--kk"),
+        (vec!["audit", &f, "--sample", "5"], "--sample"),
+        (vec!["closure", "--n", "8", "--rh", "shuffle"], "--rh"),
+        (vec!["duel", "--n", "8", "--kk", "2"], "--kk"),
+        (vec!["report", &f, "--chrom", &unwritten], "--chrom"),
+        (vec!["bench", "diff", &f, "--againts", &f], "--againts"),
+        (vec!["count", "--width", "4", "--op", "10"], "--op"),
+        (vec!["store", "ls", "--store", &store, "--verbose"], "--verbose"),
+        (vec!["store", "gc", "--store", &store, "--max-bytes"], "--max-bytes"),
+        (vec!["metrics", &f, "--wach", "1"], "--wach"),
+        (vec!["query", "--addr", "127.0.0.1:1", "health", "--verbose"], "--verbose"),
+        (
+            vec!["query", "--addr", "127.0.0.1:1", "search", "--n", "4", "--max-dept", "3"],
+            "--max-dept",
+        ),
+        (vec!["query", "--addr", "127.0.0.1:1", "check", &f, &f], &f),
+        (vec!["trace", "0123", "--clint", &f], "--clint"),
+    ];
+    for (args, named) in cases {
         let out = snetctl(&args);
         assert_eq!(out.status.code(), Some(1), "{args:?} must be a usage error");
-        assert!(out.stdout.is_empty(), "{args:?} must check nothing");
+        assert!(out.stdout.is_empty(), "{args:?} must do nothing");
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(named), "{args:?}: {err}");
     }
+    assert!(!std::path::Path::new(&unwritten).exists(), "no command wrote its output");
+    assert!(!std::path::Path::new(&store).exists(), "no command opened the store");
     let out = snetctl(&["check", &f, "--exhaustive", "--threads", "1", "--no-passes"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }

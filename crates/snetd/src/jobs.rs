@@ -30,9 +30,11 @@
 //! search, attach their job: the sink hands what that thread emits to
 //! the job's [`JobObs`], where span ends named `ir.compile` are counted
 //! (the compile-once proof surfaced in the job result) and selected
-//! counters become ND-JSON [`ProgressFrame`]s for streaming clients.
-//! Jobs are routed by thread only; their workers' events reach the
-//! request trace but not the job.
+//! search counters become ND-JSON [`ProgressFrame`]s for the clients
+//! streaming `/v1/search`. `/v1/check` answers synchronously and nothing
+//! drains a check job's frames, so it queues only its three lifecycle
+//! frames. Jobs are routed by thread only; their workers' events reach
+//! the request trace but not the job.
 
 use crate::telemetry::{RequestCtx, TraceCapture};
 use crate::verdicts::{self, Served};
@@ -250,7 +252,8 @@ impl JobObs {
 
 /// Counter names worth forwarding as progress frames. Deliberately
 /// coarse (round/spill granularity): per-node counters would flood the
-/// stream without informing it.
+/// stream without informing it. Only search jobs stream; a check's
+/// `check.inputs` progress reaches its request trace and `/metrics`.
 fn frame_worthy(name: &str) -> bool {
     matches!(
         name,
@@ -259,7 +262,6 @@ fn frame_worthy(name: &str) -> bool {
             | "search.tt.preloaded"
             | "search.tt.spilled"
             | "search.cancelled"
-            | "check.inputs"
     )
 }
 
@@ -920,6 +922,26 @@ mod tests {
         assert!(manager.job(&ids[1]).is_some(), "the next one is kept");
         let last = manager.job(ids.last().unwrap()).expect("the newest job is kept");
         assert_eq!(last.state(), JobState::Done);
+        manager.shutdown();
+    }
+
+    /// Nothing drains a check job's frames (`/v1/check` answers
+    /// synchronously), so its `check.inputs` progress must queue none.
+    #[test]
+    fn check_jobs_hold_only_their_lifecycle_frames() {
+        let manager = JobManager::new(JobsConfig::default());
+        let net = ComparatorNetwork::new(2, vec![Level::of_elements(vec![Element::cmp(0, 1)])])
+            .expect("one comparator on two wires");
+        let answer = manager.check(&net, &RequestCtx::default()).expect("check answers");
+        let job = manager.job(&answer.job.expect("a miss runs a job")).expect("the job is kept");
+        let mut frames = Vec::new();
+        while let FramePoll::Frame(f) = job.obs.poll(Duration::ZERO) {
+            frames.push(f.kind);
+        }
+        let lifecycle = [JobState::Queued, JobState::Running, JobState::Done];
+        let lifecycle: Vec<FrameKind> =
+            lifecycle.into_iter().map(|state| FrameKind::Lifecycle { state }).collect();
+        assert_eq!(frames, lifecycle);
         manager.shutdown();
     }
 }

@@ -481,7 +481,7 @@ pub fn dump_slow(trace: &Arc<RequestTrace>) -> Option<PathBuf> {
 /// documents) and the trace buffer the manager's capture routes job
 /// threads into. `Default` (all `None`) means "untraced" — in-process
 /// library callers and tests that talk to the manager directly still
-/// get their jobs' frames, just no trace.
+/// get their search jobs' progress frames, just no trace.
 #[derive(Clone, Default)]
 pub struct RequestCtx {
     /// Hex trace id of the owning request.
@@ -535,33 +535,33 @@ mod tests {
         };
         let exchange = capture.attach(Some(&trace), None);
         emit(SpanStart, "http.request", 1, 0, me);
-        let leader = capture.attach(Some(&trace), Some(&job));
-        emit(SpanStart, "check.zero_one", 2, 1, me);
-        emit(Counter, "check.inputs", 0, 2, me);
-        emit(SpanStart, "check.shard", 3, 2, worker);
-        emit(Counter, "check.inputs", 0, 3, worker);
+        let job_thread = capture.attach(Some(&trace), Some(&job));
+        emit(SpanStart, "search.round", 2, 1, me);
+        emit(Counter, "search.rounds", 0, 2, me);
+        emit(SpanStart, "search.worker", 3, 2, worker);
+        emit(Counter, "search.rounds", 0, 3, worker);
         emit(Counter, HEARTBEAT, 0, 3, worker);
-        emit(SpanEnd, "check.shard", 3, 2, worker);
-        emit(SpanEnd, "check.zero_one", 2, 1, me);
-        drop(leader);
+        emit(SpanEnd, "search.worker", 3, 2, worker);
+        emit(SpanEnd, "search.round", 2, 1, me);
+        drop(job_thread);
         emit(Counter, "httpd.responses", 0, 0, me);
-        emit(Counter, "check.inputs", 0, 1, me);
+        emit(Counter, "search.rounds", 0, 1, me);
         emit(SpanEnd, "http.request", 1, 0, me);
         drop(exchange);
-        emit(Counter, "check.inputs", 0, 0, me);
+        emit(Counter, "search.rounds", 0, 0, me);
 
         let traced: Vec<(String, u64)> =
             trace.events().into_iter().map(|e| (e.name, e.thread)).collect();
         let expected = [
             ("http.request", me),
-            ("check.zero_one", me),
-            ("check.inputs", me),
-            ("check.shard", worker),
-            ("check.inputs", worker),
-            ("check.shard", worker),
-            ("check.zero_one", me),
+            ("search.round", me),
+            ("search.rounds", me),
+            ("search.worker", worker),
+            ("search.rounds", worker),
+            ("search.worker", worker),
+            ("search.round", me),
             ("httpd.responses", me),
-            ("check.inputs", me),
+            ("search.rounds", me),
             ("http.request", me),
         ];
         let expected: Vec<(String, u64)> = expected.iter().map(|&(n, t)| (n.into(), t)).collect();
@@ -570,9 +570,9 @@ mod tests {
             "the trace keeps its route under the job and gets descendants"
         );
         let FramePoll::Frame(frame) = job.poll(Duration::ZERO) else {
-            panic!("the leader's counter became a frame");
+            panic!("the job thread's counter became a frame");
         };
-        assert_eq!(frame.kind, FrameKind::Event { name: "check.inputs".into(), value: 1 });
+        assert_eq!(frame.kind, FrameKind::Event { name: "search.rounds".into(), value: 1 });
         assert!(matches!(job.poll(Duration::ZERO), FramePoll::Idle), "one frame, none by descent");
     }
 
