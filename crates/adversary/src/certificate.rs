@@ -60,6 +60,16 @@ impl LowerBoundCertificate {
     pub fn from_run(net: &ComparatorNetwork, out: &Theorem41Output) -> Result<Self, String> {
         let r = refute(net, &out.input_pattern).map_err(|e| e.to_string())?;
         r.verify(net).map_err(|e| format!("refutation invalid: {e}"))?;
+        Self::from_witness(net, out, r)
+    }
+
+    /// Assembles a certificate from an adversary run over `net` and the
+    /// witness `r` already built from it and verified against `net`.
+    pub fn from_witness(
+        net: &ComparatorNetwork,
+        out: &Theorem41Output,
+        r: SortingRefutation,
+    ) -> Result<Self, String> {
         let pattern_tags = out
             .input_pattern
             .symbols()

@@ -66,4 +66,4 @@ pub use lemma41::{
 pub use oracle::{DepthOracle, LayerModel};
 pub use theorem41::theorem41_with;
 pub use theorem41::{theorem41, Theorem41Output};
-pub use witness::{refute, refute_all_pairs, RefuteError, SortingRefutation};
+pub use witness::{refute, refute_all_pairs, refute_compiled, RefuteError, SortingRefutation};

@@ -215,14 +215,23 @@ impl SortingRefutation {
 ///
 /// The pattern is refined to a concrete input placing the `[M_0]`-set's
 /// first two wires on adjacent values `m, m+1`; the swapped twin is derived
-/// and both are evaluated.
+/// and both are evaluated. Compiles `net`; [`refute_compiled`] takes a
+/// compiled network instead.
 pub fn refute(
     net: &ComparatorNetwork,
     pattern: &Pattern,
 ) -> Result<SortingRefutation, RefuteError> {
+    refute_compiled(&Executor::compile(net), pattern)
+}
+
+/// [`refute`] with `net` already compiled, as `exec`.
+pub fn refute_compiled(
+    exec: &Executor,
+    pattern: &Pattern,
+) -> Result<SortingRefutation, RefuteError> {
     let d = pattern.symbol_set(Symbol::M(0));
     let _span =
-        snet_obs::span("adversary.refute").attr("wires", net.wires()).attr("d_size", d.len());
+        snet_obs::span("adversary.refute").attr("wires", exec.wires()).attr("d_size", d.len());
     if d.len() < 2 {
         return Err(RefuteError::SetTooSmall { size: d.len() });
     }
@@ -242,7 +251,6 @@ pub fn refute(
     debug_assert_eq!(input_a[w1 as usize], m + 1, "w0, w1 are class-adjacent");
     let mut input_b = input_a.clone();
     input_b.swap(w0 as usize, w1 as usize);
-    let exec = Executor::compile(net);
     let output_a = exec.evaluate(&input_a);
     let output_b = exec.evaluate(&input_b);
     Ok(SortingRefutation { input_a, input_b, m, wire_pair: (w0, w1), output_a, output_b })

@@ -26,7 +26,7 @@ use exit::exit_flushed;
 use file::NetworkFile;
 use rand::SeedableRng;
 use snet_adversary::SortingRefutation;
-use snet_core::ir::{default_engine_threads, CanonicalHash, Executor, PassManager};
+use snet_core::ir::{default_engine_threads, Canonical, CanonicalHash, Executor, PassManager};
 use snet_core::perm::Permutation;
 use snet_core::sortcheck::{check_random_permutations, is_sorted};
 use snet_runtime::{BalancerModel, CountingNetwork, Explorer, Layout};
@@ -274,27 +274,31 @@ fn has_flag(args: &[String], name: &str) -> bool {
 /// with its value, or one of at most `positional` other arguments (the
 /// command's files, ids or subcommand): a misspelt flag must not
 /// silently change what a command does. Every command but `serve`
-/// (whose parser is strict already) calls this before doing anything.
-fn reject_unknown_flags(
+/// (whose parser is strict already) calls this before doing anything,
+/// and reads its positional arguments from what it returns, in order,
+/// so flags may come before or after them. `store` and `query` first
+/// call it with every flag of their subcommands and no limit on
+/// positionals, to find the subcommand word among them.
+fn reject_unknown_flags<'a>(
     command: &str,
-    args: &[String],
+    args: &'a [String],
     positional: usize,
     switches: &[&str],
     valued: &[&str],
-) -> Result<(), String> {
-    let mut positionals = 0;
+) -> Result<Vec<&'a str>, String> {
+    let mut positionals = Vec::new();
     let mut rest = args.iter();
     while let Some(arg) = rest.next() {
         if valued.contains(&arg.as_str()) {
             rest.next().ok_or_else(|| format!("{arg} requires a value"))?;
         } else if !switches.contains(&arg.as_str()) {
-            if arg.starts_with('-') || positionals == positional {
+            if arg.starts_with('-') || positionals.len() == positional {
                 return Err(format!("{command} does not take '{arg}' (try --help)"));
             }
-            positionals += 1;
+            positionals.push(arg.as_str());
         }
     }
-    Ok(())
+    Ok(positionals)
 }
 
 fn parse<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
@@ -373,8 +377,8 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("info", args, 1, &[], &[])?;
-    let path = args.first().ok_or("info requires FILE")?;
+    let files = reject_unknown_flags("info", args, 1, &[], &[])?;
+    let path = *files.first().ok_or("info requires FILE")?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
     let kind = match &doc {
@@ -392,14 +396,14 @@ fn cmd_info(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags(
+    let files = reject_unknown_flags(
         "check",
         args,
         1,
         &["--exhaustive", "--no-passes", "--no-store"],
         &["--threads", "--trials", "--seed", "--verdict-out", "--store"],
     )?;
-    let path = args.first().ok_or("check requires FILE")?;
+    let path = *files.first().ok_or("check requires FILE")?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
     // `--no-passes` runs the IR without the canonical pipeline: the raw
@@ -506,30 +510,33 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_refute(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags(
+    let files = reject_unknown_flags(
         "refute",
         args,
         1,
         &["--explain", "--no-store"],
         &["-o", "--k", "--store"],
     )?;
-    let path = args.first().ok_or("refute requires FILE")?;
+    let path = *files.first().ok_or("refute requires FILE")?;
     let ird = NetworkFile::load(path)?.adversary_input(path)?;
     let l = ird.wires().trailing_zeros() as usize;
     let k: usize = parse(flag(args, "--k").unwrap_or(&l.to_string()), "--k")?;
     snet_adversary::check_k(k, l)?;
     let net = ird.to_network();
     let store = resolve_store(args)?;
-    let hash = CanonicalHash::of_network(&net);
+    let canon = Canonical::of_network(&net);
+    let hash = canon.hash();
+    let mut canon = Some(canon);
     // A stored witness replays without re-running the adversary once it
     // passes `verify`, so a stale or forged entry cannot vouch for itself.
-    let served = match verdicts::lookup_witness(store.as_ref(), &net, &hash) {
+    let served = match verdicts::lookup_witness(store.as_ref(), &net, &hash, &mut canon) {
         Some(served) => {
             println!("store: hit {hash} (replaying cached adversary witness)");
             served
         }
         None => {
-            let (run, witness) = verdicts::compute_witness(store.as_ref(), &net, &hash, k, || ird)?;
+            let (run, witness) =
+                verdicts::compute_witness(store.as_ref(), &net, &hash, k, || ird, canon)?;
             if has_flag(args, "--explain") {
                 print!("{}", run.explain());
             }
@@ -562,9 +569,10 @@ fn cmd_refute(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("verify", args, 2, &[], &[])?;
-    let net_path = args.first().ok_or("verify requires FILE WITNESS")?;
-    let wit_path = args.get(1).ok_or("verify requires FILE WITNESS")?;
+    let files = reject_unknown_flags("verify", args, 2, &[], &[])?;
+    let [net_path, wit_path] = files[..] else {
+        return Err("verify requires FILE WITNESS".into());
+    };
     let doc = NetworkFile::load(net_path)?;
     // Witnesses produced by `refute` are against the embedded
     // iterated-reverse-delta form of a shuffle file.
@@ -786,8 +794,8 @@ fn write_frontier(outcome: &snet_search::SearchOutcome, path: &str) -> Result<()
 }
 
 fn cmd_render(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("render", args, 1, &["--svg", "--dot"], &[])?;
-    let path = args.first().ok_or("render requires FILE")?;
+    let files = reject_unknown_flags("render", args, 1, &["--svg", "--dot"], &[])?;
+    let path = *files.first().ok_or("render requires FILE")?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
     if has_flag(args, "--svg") {
@@ -806,8 +814,8 @@ fn cmd_render(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_stats(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("stats", args, 1, &[], &["--trials", "--seed"])?;
-    let path = args.first().ok_or("stats requires FILE")?;
+    let files = reject_unknown_flags("stats", args, 1, &[], &["--trials", "--seed"])?;
+    let path = *files.first().ok_or("stats requires FILE")?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
     let trials: u64 = parse(flag(args, "--trials").unwrap_or("2000"), "--trials")?;
@@ -847,8 +855,8 @@ fn cmd_stats(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_passes(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("passes", args, 1, &[], &[])?;
-    let path = args.first().ok_or("passes requires FILE")?;
+    let files = reject_unknown_flags("passes", args, 1, &[], &[])?;
+    let path = *files.first().ok_or("passes requires FILE")?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
     // RedundantElim is exhaustive over 2^n inputs below its limit; above
@@ -908,14 +916,13 @@ fn human_nanos(ns: u128) -> String {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("report", args, 1, &[], &["--chrome"])?;
-    let mut args = args.to_vec();
-    let chrome_out = take_flag_value(&mut args, "--chrome")?;
-    let path = args.first().ok_or("report requires TRACE.jsonl")?;
+    let files = reject_unknown_flags("report", args, 1, &[], &["--chrome"])?;
+    let chrome_out = flag(args, "--chrome");
+    let path = *files.first().ok_or("report requires TRACE.jsonl")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     if let Some(out) = chrome_out {
         let json = snet_obs::trace_to_chrome(&text)?;
-        std::fs::write(&out, json).map_err(|e| format!("{out}: {e}"))?;
+        std::fs::write(out, json).map_err(|e| format!("{out}: {e}"))?;
         println!("chrome trace written to {out} (load in chrome://tracing or ui.perfetto.dev)");
         return Ok(());
     }
@@ -947,14 +954,13 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 /// per-line and end-of-screen erases (never a full clear), so a frame
 /// that shrinks leaves no stale lines and the repaint never flickers.
 fn cmd_metrics(args: &[String]) -> Result<(), String> {
-    reject_unknown_flags("metrics", args, 1, &[], &["--watch"])?;
-    let mut args = args.to_vec();
-    let watch = take_flag_value(&mut args, "--watch")?;
-    let path = args.first().cloned();
+    let files = reject_unknown_flags("metrics", args, 1, &[], &["--watch"])?;
+    let watch = flag(args, "--watch");
+    let path = files.first().copied();
     let Some(secs) = watch else {
         match path {
             Some(path) => {
-                let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
+                let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
                 let parsed =
                     snet_obs::promtext::parse(&text).map_err(|e| format!("{path}: {e}"))?;
                 print!("{text}");
@@ -968,7 +974,7 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
         }
         return Ok(());
     };
-    let secs: f64 = parse(&secs, "--watch")?;
+    let secs: f64 = parse(secs, "--watch")?;
     loop {
         let frame = match &path {
             Some(p) => match std::fs::read_to_string(p) {
@@ -1048,7 +1054,16 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let mut args = args.to_vec();
     let addr =
         take_flag_value(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7421".to_string());
-    let sub = args.first().cloned().ok_or(
+    // The subcommand is the first positional argument, wherever the flags
+    // stand; its own flag table is checked below.
+    let words = reject_unknown_flags(
+        "query",
+        &args,
+        usize::MAX,
+        &["--shuffle-legal"],
+        &["--k", "--n", "--max-depth", "--threads"],
+    )?;
+    let sub = words.first().map(|w| w.to_string()).ok_or(
         "query requires a subcommand (try check, adversary, search, job, cancel, health, \
          metrics, debug, trace)",
     )?;
@@ -1058,7 +1073,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         "search" => (1, &["--shuffle-legal"], &["--n", "--max-depth", "--threads"]),
         _ => (1, &[], &[]),
     };
-    reject_unknown_flags(&format!("query {sub}"), &args, positional, switches, valued)?;
+    let operands =
+        reject_unknown_flags(&format!("query {sub}"), &args, positional, switches, valued)?;
+    let operand = operands.get(1).copied();
     let tctx = snet_obs::TraceContext::generate();
     let qspan = snet_obs::span("query.request")
         .attr(snet_obs::TRACE_ATTR, tctx.trace.to_hex())
@@ -1077,7 +1094,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     };
     match sub.as_str() {
         "check" => {
-            let path = args.get(1).ok_or("query check requires a network FILE")?;
+            let path = operand.ok_or("query check requires a network FILE")?;
             let net = NetworkFile::load(path)?.to_network();
             let body = serde_json::to_string(&snet_core::api::CheckRequest { network: net })
                 .map_err(|e| e.to_string())?;
@@ -1091,10 +1108,9 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "adversary" => {
-            let path = args.get(1).ok_or("query adversary requires a network FILE")?.clone();
-            let k =
-                take_flag_value(&mut args, "--k")?.map(|v| parse::<u32>(&v, "--k")).transpose()?;
-            let file = NetworkFile::load(&path)?;
+            let path = operand.ok_or("query adversary requires a network FILE")?;
+            let k = flag(&args, "--k").map(|v| parse::<u32>(v, "--k")).transpose()?;
+            let file = NetworkFile::load(path)?;
             let Some(shuffle) = file.as_shuffle() else {
                 return Err(format!(
                     "{path}: the adversary endpoint takes a shuffle-based network document"
@@ -1115,21 +1131,16 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "search" => {
-            let n: u32 = take_flag_value(&mut args, "--n")?
+            let n: u32 = flag(&args, "--n")
                 .ok_or("query search requires --n N")?
                 .parse()
                 .map_err(|_| "cannot parse --n".to_string())?;
-            let mode = if take_flag(&mut args, "--shuffle-legal") {
-                "shuffle-legal"
-            } else {
-                "unrestricted"
-            };
-            let max_depth = take_flag_value(&mut args, "--max-depth")?
-                .map(|v| parse::<u32>(&v, "--max-depth"))
-                .transpose()?;
-            let threads = take_flag_value(&mut args, "--threads")?
-                .map(|v| parse::<u32>(&v, "--threads"))
-                .transpose()?;
+            let mode =
+                if has_flag(&args, "--shuffle-legal") { "shuffle-legal" } else { "unrestricted" };
+            let max_depth =
+                flag(&args, "--max-depth").map(|v| parse::<u32>(v, "--max-depth")).transpose()?;
+            let threads =
+                flag(&args, "--threads").map(|v| parse::<u32>(v, "--threads")).transpose()?;
             let req =
                 snet_core::api::SearchRequest { n, mode: mode.to_string(), max_depth, threads };
             let body = serde_json::to_string(&req).map_err(|e| e.to_string())?;
@@ -1168,13 +1179,13 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "job" => {
-            let id = args.get(1).ok_or("query job requires a job ID")?;
+            let id = operand.ok_or("query job requires a job ID")?;
             let resp = send("GET", &format!("/v1/jobs/{id}"), None)?;
             print_query_answer(&resp)?;
             Ok(())
         }
         "cancel" => {
-            let id = args.get(1).ok_or("query cancel requires a job ID")?;
+            let id = operand.ok_or("query cancel requires a job ID")?;
             let resp = send("DELETE", &format!("/v1/jobs/{id}"), None)?;
             print_query_answer(&resp)?;
             Ok(())
@@ -1195,7 +1206,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         "trace" => {
-            let id = args.get(1).ok_or("query trace requires a trace ID")?;
+            let id = operand.ok_or("query trace requires a trace ID")?;
             let resp = send("GET", &format!("/v1/trace/{id}"), None)?;
             print_query_answer(&resp)?;
             Ok(())
@@ -1248,21 +1259,20 @@ fn print_query_answer(resp: &snet_service::client::Response) -> Result<String, S
 /// the span-tree report.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
     use snet_service::client;
-    reject_unknown_flags("trace", args, 1, &[], &["--addr", "--client", "--chrome", "-o"])?;
-    let mut args = args.to_vec();
-    let addr =
-        take_flag_value(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7421".to_string());
-    let client_path = take_flag_value(&mut args, "--client")?;
-    let chrome_out = take_flag_value(&mut args, "--chrome")?;
-    let jsonl_out = take_flag_value(&mut args, "-o")?;
+    let ids =
+        reject_unknown_flags("trace", args, 1, &[], &["--addr", "--client", "--chrome", "-o"])?;
+    let addr = flag(args, "--addr").unwrap_or("127.0.0.1:7421");
+    let client_path = flag(args, "--client");
+    let chrome_out = flag(args, "--chrome");
+    let jsonl_out = flag(args, "-o");
     // Accept the full `trace-span` value `query` echoes, or the bare id.
-    let id = args
+    let id = ids
         .first()
         .and_then(|full| full.split('-').next())
         .filter(|s| !s.is_empty())
         .ok_or("trace requires a trace ID (32 hex digits)")?
         .to_string();
-    let resp = client::request(&addr, "GET", &format!("/v1/trace/{id}"), None)
+    let resp = client::request(addr, "GET", &format!("/v1/trace/{id}"), None)
         .map_err(|e| format!("trace: GET {addr}/v1/trace/{id}: {e}"))?;
     if resp.status != 200 {
         return Err(format!("trace: daemon answered {}: {}", resp.status, resp.text()));
@@ -1287,7 +1297,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     };
     if let Some(out) = chrome_out {
         let json = snet_obs::to_chrome_trace(&merged);
-        std::fs::write(&out, json).map_err(|e| format!("{out}: {e}"))?;
+        std::fs::write(out, json).map_err(|e| format!("{out}: {e}"))?;
         println!("chrome trace written to {out} (load in chrome://tracing or ui.perfetto.dev)");
         return Ok(());
     }
@@ -1297,7 +1307,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         text.push('\n');
     }
     if let Some(out) = jsonl_out {
-        std::fs::write(&out, text).map_err(|e| format!("{out}: {e}"))?;
+        std::fs::write(out, text).map_err(|e| format!("{out}: {e}"))?;
         println!("merged trace written to {out}");
         return Ok(());
     }
@@ -1378,17 +1388,17 @@ fn merge_cross_process(
 /// compares a fresh bench baseline against a stored one and exits with
 /// code 8 when any metric regressed beyond the threshold.
 fn cmd_bench(args: &[String]) -> Result<(), String> {
-    match args.first().map(String::as_str) {
-        Some("diff") => cmd_bench_diff(&args[1..]),
+    let words = reject_unknown_flags("bench", args, 2, &[], &["--against", "--fail-on-regress"])?;
+    match words.first().copied() {
+        Some("diff") => cmd_bench_diff(args, words.get(1).copied()),
         Some(other) => Err(format!("unknown bench subcommand '{other}' (try 'diff')")),
         None => Err("bench requires a subcommand (try 'diff')".into()),
     }
 }
 
-fn cmd_bench_diff(args: &[String]) -> Result<(), String> {
+fn cmd_bench_diff(args: &[String], new_path: Option<&str>) -> Result<(), String> {
     use snet_obs::baseline;
-    reject_unknown_flags("bench diff", args, 1, &[], &["--against", "--fail-on-regress"])?;
-    let new_path = args.first().ok_or("bench diff requires NEW.json")?;
+    let new_path = new_path.ok_or("bench diff requires NEW.json")?;
     let new = baseline::Baseline::load(std::path::Path::new(new_path))?;
     let against = match flag(args, "--against") {
         Some(p) => p.to_string(),
@@ -1492,8 +1502,9 @@ fn cmd_duel(args: &[String]) -> Result<(), String> {
 
 fn cmd_certify(args: &[String]) -> Result<(), String> {
     use snet_adversary::LowerBoundCertificate;
-    reject_unknown_flags("certify", args, 1, &["--no-store"], &["-o", "--k", "--store"])?;
-    let path = args.first().ok_or("certify requires FILE")?;
+    let files =
+        reject_unknown_flags("certify", args, 1, &["--no-store"], &["-o", "--k", "--store"])?;
+    let path = *files.first().ok_or("certify requires FILE")?;
     let out_path = flag(args, "-o").ok_or("certify requires -o CERT")?;
     let ird = NetworkFile::load(path)?.adversary_input(path)?;
     let l = ird.wires().trailing_zeros() as usize;
@@ -1501,13 +1512,16 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
     snet_adversary::check_k(k, l)?;
     let net = ird.to_network();
     let store = resolve_store(args)?;
-    let hash = CanonicalHash::of_network(&net);
-    let (run, witness) = verdicts::compute_witness(store.as_ref(), &net, &hash, k, || ird)?;
+    let canon = Canonical::of_network(&net);
+    let hash = canon.hash();
+    let (run, witness) =
+        verdicts::compute_witness(store.as_ref(), &net, &hash, k, || ird, Some(canon))?;
     let Some(served) = witness else {
         println!("adversary exhausted (|D| = {}): nothing to certify", run.d_set.len());
         exit_flushed(exit::ADVERSARY_EXHAUSTED);
     };
-    let cert = LowerBoundCertificate::from_run(&net, &run)?;
+    let r = SortingRefutation::from_verdict(&served.verdict).expect("a witness verdict");
+    let cert = LowerBoundCertificate::from_witness(&net, &run, r)?;
     if store.is_some() {
         stored(served)?;
         println!("store: witness verdict cached under {hash}");
@@ -1525,8 +1539,8 @@ fn cmd_certify(args: &[String]) -> Result<(), String> {
 
 fn cmd_audit(args: &[String]) -> Result<(), String> {
     use snet_adversary::LowerBoundCertificate;
-    reject_unknown_flags("audit", args, 1, &[], &["--samples", "--seed"])?;
-    let path = args.first().ok_or("audit requires CERT")?;
+    let files = reject_unknown_flags("audit", args, 1, &[], &["--samples", "--seed"])?;
+    let path = *files.first().ok_or("audit requires CERT")?;
     let samples: usize = parse(flag(args, "--samples").unwrap_or("300"), "--samples")?;
     let seed: u64 = parse(flag(args, "--seed").unwrap_or("0"), "--seed")?;
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
@@ -1558,13 +1572,22 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
 /// The store comes from `--store DIR` or `SNET_STORE`. `get` exits with
 /// code 10 when the requested entry exists but is corrupt.
 fn cmd_store(args: &[String]) -> Result<(), String> {
-    let sub = args.first().map(String::as_str);
+    // The subcommand is the first positional argument, wherever the flags
+    // stand; its own flag table is checked below.
+    let words = reject_unknown_flags(
+        "store",
+        args,
+        usize::MAX,
+        &["--no-store"],
+        &["--store", "--max-bytes"],
+    )?;
+    let sub = words.first().copied();
     let (positional, valued): (usize, &[&str]) = match sub {
         Some("get") => (2, &["--store"]),
         Some("gc") => (1, &["--store", "--max-bytes"]),
         _ => (1, &["--store"]),
     };
-    reject_unknown_flags("store", args, positional, &["--no-store"], valued)?;
+    let operands = reject_unknown_flags("store", args, positional, &["--no-store"], valued)?;
     let store = resolve_store(args)?
         .ok_or("store commands need --store DIR or the SNET_STORE environment variable")?;
     match sub {
@@ -1596,7 +1619,7 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
             Ok(())
         }
         Some("get") => {
-            let hex = args.get(1).ok_or("store get requires HASH")?;
+            let hex = *operands.get(1).ok_or("store get requires HASH")?;
             let hash = resolve_hash(&store, hex)?;
             let existed = store.contains(&hash);
             match store.get(&hash) {

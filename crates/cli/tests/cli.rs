@@ -765,6 +765,96 @@ fn report_chrome_exports_valid_trace_event_json() {
     );
 }
 
+/// Every subcommand that takes a positional argument and a flag reads
+/// the same run whichever comes first: the flag guard hands each command
+/// its positional arguments in order, so a flag before the file is not
+/// opened as the file (`check --exhaustive F` once failed with
+/// `--exhaustive: No such file or directory`). Where a command has
+/// subcommands, the flags may also come before the subcommand word
+/// (`store --store S get H`). `info`, `passes` and `verify` take no
+/// flags; `metrics --watch` never exits. The `query` and `trace` rows
+/// reach no daemon, so every spelling fails alike, naming the address.
+#[test]
+fn flags_may_come_before_or_after_positional_arguments() {
+    let sorter = tmpfile("order-pratt8.json");
+    let shuffle = tmpfile("order-shuffle16.json");
+    let cert = tmpfile("order-cert.json");
+    let chrome = tmpfile("order-chrome.json");
+    let trace = tmpfile("order-trace.jsonl");
+    let store = tmpfile("order-store");
+    let _ = std::fs::remove_dir_all(&store);
+    let setup: [&[&str]; 4] = [
+        &["gen", "--kind", "pratt", "--n", "8", "-o", &sorter],
+        &[
+            "gen",
+            "--kind",
+            "random-shuffle",
+            "--n",
+            "16",
+            "--depth",
+            "4",
+            "--seed",
+            "7",
+            "-o",
+            &shuffle,
+        ],
+        &["--trace-out", &trace, "check", &sorter, "--no-store"],
+        &["check", &sorter, "--exhaustive", "--store", &store],
+    ];
+    let mut hash = String::new();
+    for args in setup {
+        let out = snetctl(args);
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout).to_string();
+        if let Some(h) = text.lines().find_map(|l| l.strip_prefix("store: miss ")) {
+            hash = h.to_string();
+        }
+    }
+    assert_eq!(hash.len(), 64, "the store run printed its key");
+    let base = write_baseline_file("order", "order-base.json", 1_000.0, 10.0);
+    let nowhere = ["--addr", "127.0.0.1:1"];
+    // (command words, positional arguments, flags, exit code)
+    type Case<'a> = (&'a [&'a str], Vec<&'a str>, Vec<&'a str>, i32);
+    let cases: [Case; 15] = [
+        (&["check"], vec![&sorter], vec!["--exhaustive", "--no-store", "--threads", "1"], 0),
+        (&["refute"], vec![&shuffle], vec!["--k", "3", "--no-store"], 0),
+        (&["render"], vec![&sorter], vec!["--dot"], 0),
+        (&["stats"], vec![&sorter], vec!["--trials", "20", "--seed", "3"], 0),
+        (&["certify"], vec![&shuffle], vec!["-o", &cert, "--no-store"], 0),
+        (&["audit"], vec![&cert], vec!["--samples", "5", "--seed", "1"], 0),
+        (&["report"], vec![&trace], vec!["--chrome", &chrome], 0),
+        (&["bench", "diff"], vec![&base], vec!["--against", &base, "--fail-on-regress", "10"], 0),
+        (&["store", "get"], vec![&hash], vec!["--store", &store], 0),
+        (&["store", "ls"], vec![], vec!["--store", &store], 0),
+        (&["store", "gc"], vec![], vec!["--store", &store, "--max-bytes", "1000000"], 0),
+        (&["query", "adversary"], vec![&shuffle], [&nowhere[..], &["--k", "3"]].concat(), 1),
+        (&["query", "check"], vec![&sorter], nowhere.to_vec(), 1),
+        (&["query", "job"], vec!["job-1"], nowhere.to_vec(), 1),
+        (&["trace"], vec!["0123"], nowhere.to_vec(), 1),
+    ];
+    for (command, positional, flags, code) in cases {
+        let last = snetctl(&[command, &positional, &flags].concat());
+        let shown = |o: &Output| {
+            format!("{}{}", String::from_utf8_lossy(&o.stdout), String::from_utf8_lossy(&o.stderr))
+        };
+        assert_eq!(last.status.code(), Some(code), "{command:?} flags last: {}", shown(&last));
+        if code != 0 {
+            assert!(shown(&last).contains("127.0.0.1:1"), "{command:?}: {}", shown(&last));
+        }
+        let (word, sub) = command.split_at(1);
+        let mut spellings = vec![[command, &flags, &positional].concat()];
+        if !sub.is_empty() {
+            spellings.push([word, &flags, sub, &positional].concat());
+        }
+        for args in spellings {
+            let out = snetctl(&args);
+            assert_eq!(out.status.code(), Some(code), "{args:?}: {}", shown(&out));
+            assert_eq!(out.stdout, last.stdout, "{args:?}: stdout");
+            assert_eq!(out.stderr, last.stderr, "{args:?}: stderr");
+        }
+    }
+}
+
 /// A hand-written baseline file: the same shape `Baseline::save` emits,
 /// which keeps this test honest about the on-disk format.
 fn write_baseline_file(name: &str, file: &str, states_per_sec: f64, wall_ms: f64) -> String {

@@ -234,6 +234,11 @@ impl Executor {
         Executor { program, records }
     }
 
+    /// A program the passes that made `records` already ran over.
+    pub(super) fn from_parts(program: Program, records: Vec<PassRecord>) -> Self {
+        Executor { program, records }
+    }
+
     /// The compiled program.
     pub fn program(&self) -> &Program {
         &self.program

@@ -19,7 +19,9 @@
 //!   [`Executor::check_zero_one`] checks in place of most of the `2ⁿ`
 //!   inputs.
 //! * [`canon`] — [`CanonicalHash`]: SHA-256 content addressing over the
-//!   canonical form, the key of the `snet-store` artifact cache.
+//!   canonical form, the key of the `snet-store` artifact cache, and
+//!   [`Canonical`], a hash that keeps its canonical program for the
+//!   [`Executor`] a cache miss runs.
 //!
 //! The interpreters in [`crate::network`] and [`crate::register`] remain
 //! the *reference semantics*; the differential suites assert the IR is
@@ -31,7 +33,7 @@ mod image;
 pub mod passes;
 pub mod program;
 
-pub use canon::CanonicalHash;
+pub use canon::{Canonical, CanonicalHash};
 pub use exec::{check_zero_one_sharded, default_engine_threads, evaluate, Executor};
 pub use passes::{
     exhaustive_fired_masks, AbsorbRoutes, NormalizeCmpRev, Pass, PassManager, PassRecord,

@@ -54,6 +54,7 @@ mod imp {
 
     unsafe impl GlobalAlloc for CountingAlloc {
         unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: forwards this call's own contract to `System`.
             let p = unsafe { System.alloc(layout) };
             if !p.is_null() {
                 on_alloc(layout.size());
@@ -62,6 +63,7 @@ mod imp {
         }
 
         unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+            // SAFETY: forwards this call's own contract to `System`.
             let p = unsafe { System.alloc_zeroed(layout) };
             if !p.is_null() {
                 on_alloc(layout.size());
@@ -70,11 +72,15 @@ mod imp {
         }
 
         unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            // SAFETY: `ptr` came from `System` through this allocator
+            // with `layout`, as `dealloc`'s caller guarantees.
             unsafe { System.dealloc(ptr, layout) };
             LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         }
 
         unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            // SAFETY: `ptr` came from `System` through this allocator
+            // with `layout`, as `realloc`'s caller guarantees.
             let p = unsafe { System.realloc(ptr, layout, new_size) };
             if !p.is_null() {
                 let old = layout.size() as u64;

@@ -12,7 +12,7 @@ pub fn obj(fields: Vec<(&str, Value)>) -> Value {
 
 /// String pairs as an object of strings (attrs, manifest fields).
 pub fn str_map(pairs: &[(String, String)]) -> Value {
-    Value::Object(pairs.iter().map(|(k, v)| (k.clone(), Value::String(v.clone()))).collect())
+    Value::Object(pairs.iter().map(|(k, v)| (k.clone(), Value::String(v.into()))).collect())
 }
 
 /// A float the way traces and baselines print it: integral values below

@@ -19,7 +19,9 @@
 //!    fans the bytes out to any followers.
 //!
 //! `/v1/adversary` requests neither coalesce nor record jobs: perfbench's
-//! count cross-check pins one store read per adversary miss.
+//! count cross-check pins one store read per adversary miss. They hash
+//! through [`Canonical`], whose program a miss runs the witness on, so a
+//! cold request lowers once.
 //!
 //! ## Progress capture
 //!
@@ -41,7 +43,7 @@ use crate::verdicts::{self, Served};
 use serde::{Serialize, Value};
 use snet_core::api::{AdversaryRequest, ProgressFrame, SearchRequest};
 use snet_core::api::{CacheState, FrameKind, JobState, JobStatus, API_SCHEMA};
-use snet_core::ir::{CanonicalHash, Executor};
+use snet_core::ir::{Canonical, CanonicalHash, Executor};
 use snet_core::network::ComparatorNetwork;
 use snet_core::verdict::Verdict;
 use snet_obs::json::obj;
@@ -808,15 +810,18 @@ impl JobManager {
             let _span = snet_obs::span("topology.lower").attr("form", "network");
             shuffle.to_network()
         };
-        let hash = CanonicalHash::of_network(&net);
-        if let Some(hit) = verdicts::lookup_witness(self.store(), &net, &hash) {
+        let canon = Canonical::of_network(&net);
+        let hash = canon.hash();
+        let mut canon = Some(canon);
+        if let Some(hit) = verdicts::lookup_witness(self.store(), &net, &hash, &mut canon) {
             return Ok(CheckAnswer::hit(hit, hash));
         }
-        let (run, witness) = verdicts::compute_witness(self.store(), &net, &hash, k, || {
+        let ird = || {
             let _span = snet_obs::span("topology.lower").attr("form", "ird");
             shuffle.to_iterated_reverse_delta()
-        })
-        .map_err(|message| ApiError { status: 500, message })?;
+        };
+        let (run, witness) = verdicts::compute_witness(self.store(), &net, &hash, k, ird, canon)
+            .map_err(|message| ApiError { status: 500, message })?;
         let Some(served) = witness else {
             return Err(ApiError::unprocessable(format!(
                 "adversary exhausted: |D| = {} after {} blocks — no witness at this depth \

@@ -96,6 +96,9 @@ extern "C" fn on_signal(_signum: i32) {
 /// [`ServerHandle`], so parallel test harnesses don't tear each other
 /// down.
 pub fn install_signal_handlers() {
+    // SAFETY: `signal` is the C library's, called with valid signal
+    // numbers and a handler of the C signature it expects that does only
+    // an async-signal-safe atomic store.
     unsafe {
         signal(SIGTERM, on_signal as *const () as usize);
         signal(SIGINT, on_signal as *const () as usize);

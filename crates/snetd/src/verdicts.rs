@@ -3,16 +3,17 @@
 //! [`JobManager`](crate::JobManager) wraps it in coalescing and jobs.
 //!
 //! Each kind, the exhaustive check and the adversary witness, has a
-//! lookup and a compute step, both handed the caller's one
-//! [`CanonicalHash::of_network`]. A lookup re-checks the stored claim
-//! (DESIGN §11: a sort certificate is served as stored, a counterexample
-//! is re-run, a witness [`verify`](SortingRefutation::verify)d) before it
-//! serves the stored bytes; a claim that fails is quarantined and reads
-//! as a miss. A compute compiles at most once, builds the [`Verdict`]
-//! from the hash in hand and [`persist`]s it.
+//! lookup and a compute step, both handed the caller's one canonical
+//! hash. A lookup re-checks the stored claim (DESIGN §11: a sort
+//! certificate is served as stored, a counterexample is re-run, a witness
+//! [`verify`](SortingRefutation::verify)d) before it serves the stored
+//! bytes; a claim that fails is quarantined and reads as a miss. A
+//! compute compiles at most once, builds the [`Verdict`] from the hash in
+//! hand and [`persist`]s it. The adversary path lowers once: the
+//! [`Canonical`] form the hash came from becomes the executor of a miss.
 
-use snet_adversary::{refute, theorem41, SortingRefutation, Theorem41Output};
-use snet_core::ir::{CanonicalHash, Executor};
+use snet_adversary::{refute_compiled, theorem41, SortingRefutation, Theorem41Output};
+use snet_core::ir::{Canonical, CanonicalHash, Executor};
 use snet_core::network::ComparatorNetwork;
 use snet_core::sortcheck::is_sorted;
 use snet_core::verdict::{Verdict, VerdictKind};
@@ -38,7 +39,17 @@ pub fn lookup_check(
     hash: &CanonicalHash,
 ) -> Option<Served> {
     let store = store?;
-    let (verdict, bytes) = store.get_verdict(hash)?;
+    recheck(store, net, hash, store.get_verdict(hash)?)
+}
+
+/// Serves a stored `(verdict, bytes)` entry for `hash` if its claim
+/// holds for `net`; quarantines it otherwise.
+fn recheck(
+    store: &ArtifactStore,
+    net: &ComparatorNetwork,
+    hash: &CanonicalHash,
+    (verdict, bytes): (Verdict, Vec<u8>),
+) -> Option<Served> {
     if !holds(&verdict, net, hash) {
         store.quarantine(hash);
         return None;
@@ -60,31 +71,46 @@ pub fn compute_check(
 
 /// The stored adversary witness for `hash`, verified against `net`. A
 /// verdict of another kind that holds reads as a miss and stays stored.
+///
+/// `canon` is `net`'s canonical form, kept for [`compute_witness`] on a
+/// miss. A stored entry drops it before the witness is verified: the
+/// re-check runs the reference interpreter, and holding the program
+/// across it would only raise a warm hit's peak memory.
 pub fn lookup_witness(
     store: Option<&ArtifactStore>,
     net: &ComparatorNetwork,
     hash: &CanonicalHash,
+    canon: &mut Option<Canonical>,
 ) -> Option<Served> {
+    let store = store?;
+    let entry = store.get_verdict(hash)?;
+    *canon = None;
     let is_witness = |s: &Served| matches!(s.verdict.kind, VerdictKind::AdversaryWitness { .. });
-    lookup_check(store, net, hash).filter(is_witness)
+    recheck(store, net, hash, entry).filter(is_witness)
 }
 
 /// Runs the Theorem 4.1 adversary with parameter `k` on a miss: the run
 /// (for its `|D|` report), and the verified, persisted witness unless
 /// `|D| < 2`. `ird` builds the iterated reverse delta form of `net`, so
-/// a hit never pays for it. `Err` is internal: a witness failed `verify`.
+/// a hit never pays for it. The witness runs on `canon`, `net`'s
+/// canonical form, turned into an executor without running the passes
+/// again; only when a lookup dropped it is `net` compiled afresh. `Err`
+/// is internal: a witness failed `verify`.
 pub fn compute_witness(
     store: Option<&ArtifactStore>,
     net: &ComparatorNetwork,
     hash: &CanonicalHash,
     k: usize,
     ird: impl FnOnce() -> IteratedReverseDelta,
+    canon: Option<Canonical>,
 ) -> Result<(Theorem41Output, Option<Served>), String> {
     let run = theorem41(&ird(), k);
     if run.d_set.len() < 2 {
         return Ok((run, None));
     }
-    let r = refute(net, &run.input_pattern).map_err(|e| e.to_string())?;
+    let exec = canon.map_or_else(|| Executor::compile(net), Canonical::into_executor);
+    let r = refute_compiled(&exec, &run.input_pattern).map_err(|e| e.to_string())?;
+    drop(exec);
     r.verify(net).map_err(|e| format!("internal: witness failed verification: {e}"))?;
     let verdict = Verdict::with_kind(*hash, net.wires() as u32, r.verdict_kind());
     Ok((run, Some(persist(store, verdict))))

@@ -244,9 +244,11 @@ fn spans_of(addr: &str, trace: &str) -> Vec<(String, Vec<(String, String)>)> {
     span_ends_of(addr, trace).into_iter().map(|e| (e.name, e.attrs)).collect()
 }
 
-/// A cold request compiles once and records one span per stage its time
-/// goes to — the body parse, the lowering, the iterated reverse delta
-/// build, the encoding of the verdict; a warm hit only parses and lowers.
+/// A cold request lowers and compiles once — the IR program the hash is
+/// taken from is the one the witness runs on — and records one span per
+/// stage its time goes to: the body parse, the lowering, the iterated
+/// reverse delta build, the encoding of the verdict. A warm hit only
+/// parses, lowers and hashes.
 #[test]
 fn a_cold_adversary_request_compiles_once_and_a_warm_one_never() {
     let (handle, addr, root) = daemon("adversary-compile");
@@ -269,6 +271,7 @@ fn a_cold_adversary_request_compiles_once_and_a_warm_one_never() {
             spans.iter().filter(|(n, attrs)| n == "topology.lower" && attrs.contains(&form)).count()
         };
         assert_eq!(named("ir.compile"), compiles, "{cache}: ir.compile spans");
+        assert_eq!(named("ir.lower"), 1, "{cache}: ir.lower spans");
         assert_eq!(named("api.parse"), 1, "{cache}: api.parse spans");
         assert_eq!(lowered("network"), 1, "{cache}: lowerings");
         assert_eq!(lowered("ird"), builds, "{cache}: IRD builds");

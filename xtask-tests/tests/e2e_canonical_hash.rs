@@ -189,25 +189,46 @@ proptest! {
     }
 }
 
+/// Store keys recorded before the digest learned a second (SHA-NI)
+/// path; both paths must keep producing exactly these.
 #[test]
 fn hash_is_stable_across_processes() {
-    // A pinned value: the canonical hash is part of the on-disk store
+    // Pinned values: the canonical hash is part of the on-disk store
     // contract, so it must never drift silently. If this test fails, the
-    // encoding changed — bump the canon domain version and expect old
-    // store entries to miss.
+    // encoding or the digest changed — bump the canon domain version and
+    // expect old store entries to miss.
     let mut net = ComparatorNetwork::empty(4);
     net.push_elements(vec![Element::cmp(0, 1), Element::cmp(2, 3)]).unwrap();
     net.push_elements(vec![Element::cmp(0, 2), Element::cmp(1, 3)]).unwrap();
     net.push_elements(vec![Element::cmp(1, 2)]).unwrap();
     let h = CanonicalHash::of_network(&net).to_hex();
-    assert_eq!(h, CanonicalHash::of_network(&net).to_hex());
-    assert_eq!(h.len(), 64);
+    assert_eq!(h, "f2eafd08aa45df46150f2a31cbd89586ce29327888a0c0253be473b1e83c9760");
     // Same circuit presented with reversed-comparator spelling.
     let mut rev = ComparatorNetwork::empty(4);
     rev.push_elements(vec![Element::cmp_rev(1, 0), Element::cmp_rev(3, 2)]).unwrap();
     rev.push_elements(vec![Element::cmp(0, 2), Element::cmp(1, 3)]).unwrap();
     rev.push_elements(vec![Element::cmp(1, 2)]).unwrap();
     assert_eq!(CanonicalHash::of_network(&rev).to_hex(), h);
+
+    // Routes, `Swap`, `Pass` and `CmpRev` all reach the encoding.
+    let g = gnarly(8, 7);
+    let has = |k: ElementKind| g.levels().iter().any(|l| l.elements.iter().any(|e| e.kind == k));
+    assert!(g.levels().iter().any(|l| l.route.is_some()));
+    assert!(has(ElementKind::Swap) && has(ElementKind::Pass) && has(ElementKind::CmpRev));
+    assert_eq!(
+        CanonicalHash::of_network(&g).to_hex(),
+        "171c8b8ced3390229ca4472927867a10fdba88ec64687cd4f13bf988efc21a35"
+    );
+
+    // `snetctl gen --kind random-shuffle --n 1024 --depth 40 --seed 7`: the
+    // adversary request perfbench and CI's store round trip send, whose
+    // ~164 KiB encoding spans thousands of compress blocks.
+    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+    let sn = random_shuffle_network(1024, 40, 1.0, &mut rng);
+    assert_eq!(
+        CanonicalHash::of_network(&sn.to_network()).to_hex(),
+        "8c6949ea88813b96f01f8dcf59fe135ff85e9331c61cdf84dd1b718c47a5e409"
+    );
 }
 
 #[test]
