@@ -26,7 +26,7 @@ use exit::exit_flushed;
 use file::NetworkFile;
 use rand::SeedableRng;
 use snet_adversary::SortingRefutation;
-use snet_core::ir::{default_engine_threads, Canonical, CanonicalHash, Executor, PassManager};
+use snet_core::ir::{default_engine_threads, Canonical, Executor, PassManager};
 use snet_core::perm::Permutation;
 use snet_core::sortcheck::{check_random_permutations, is_sorted};
 use snet_runtime::{BalancerModel, CountingNetwork, Explorer, Layout};
@@ -410,13 +410,6 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     // program still carries routes and Pass/Swap ops, exercising the
     // generic (routed) backend instead of the flat fast path.
     let no_passes = has_flag(args, "--no-passes");
-    let compile = |net: &snet_core::network::ComparatorNetwork| {
-        if no_passes {
-            Executor::compile_raw(net)
-        } else {
-            Executor::compile(net)
-        }
-    };
     if has_flag(args, "--exhaustive") {
         if net.wires() > 28 {
             return Err(format!("exhaustive 0-1 check infeasible for n = {}", net.wires()));
@@ -428,13 +421,16 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         let store = resolve_store(args)?;
         // The canonical hash is the cache key, whatever the passes: the
         // raw (`--no-passes`) and canonical compilations of one circuit
-        // share an address — and the same exhaustive verdict.
-        let hash = CanonicalHash::of_network(&net);
+        // share an address — and the same exhaustive verdict. A miss
+        // otherwise runs the canonical program the hash came from.
+        let canon = Canonical::of_network(&net);
+        let hash = canon.hash();
         let (served, hit) = match verdicts::lookup_check(store.as_ref(), &net, &hash) {
             Some(served) => (served, true),
             None => {
-                let computed =
-                    verdicts::compute_check(store.as_ref(), &net, &hash, compile, threads);
+                let exec =
+                    if no_passes { Executor::compile_raw(&net) } else { canon.into_executor() };
+                let computed = verdicts::compute_check(store.as_ref(), &net, &hash, &exec, threads);
                 (stored(computed)?, false)
             }
         };
@@ -480,7 +476,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         let seed: u64 = parse(flag(args, "--seed").unwrap_or("0"), "--seed")?;
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         if no_passes {
-            let exec = compile(&net);
+            let exec = Executor::compile_raw(&net);
             let mut found = None;
             for _ in 0..trials {
                 let input: Vec<u32> = Permutation::random(net.wires(), &mut rng).images().to_vec();

@@ -12,7 +12,10 @@
 //! [`Serialize`]/[`Deserialize`] idiom as [`crate::verdict`]; the schema
 //! tag [`API_SCHEMA`] is stamped into every response so clients can
 //! reject a daemon speaking a different revision instead of misparsing
-//! it.
+//! it. The three request bodies decode straight from their text (no
+//! `Value` tree), with the errors and field precedence a lookup in a
+//! finished tree had; the responses, which clients decode, go through a
+//! tree.
 //!
 //! Progress for long-running jobs streams as newline-delimited JSON
 //! [`ProgressFrame`]s (one compact JSON object per line, no embedded
@@ -21,6 +24,7 @@
 use crate::element::ElementKind;
 use crate::network::ComparatorNetwork;
 use crate::verdict::field;
+use serde::de::{self, read_field, required, Source, Token};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use snet_obs::json::obj;
 
@@ -69,8 +73,8 @@ impl Serialize for CacheState {
 }
 
 impl Deserialize for CacheState {
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        let s = String::deserialize(v)?;
+    fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
+        let s = String::read(src)?;
         CacheState::parse(&s)
             .ok_or_else(|| SerdeError::custom(format!("unknown cache state {s:?}")))
     }
@@ -89,9 +93,20 @@ impl Serialize for CheckRequest {
     }
 }
 
+/// A body that is not an object misses its first field.
+fn is_object<S: Source>(src: &mut S) -> Result<bool, SerdeError> {
+    Ok(matches!(src.next()?, Token::Object))
+}
+
 impl Deserialize for CheckRequest {
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        Ok(CheckRequest { network: ComparatorNetwork::deserialize(field(v, "network")?)? })
+    fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
+        let mut network = None;
+        if is_object(src)? {
+            de::fields(src, &["network"], |src, _| {
+                read_field(src, &mut network, ComparatorNetwork::read)
+            })?;
+        }
+        Ok(CheckRequest { network: required(network, "network")? })
     }
 }
 
@@ -121,22 +136,23 @@ impl Serialize for AdversaryRequest {
     }
 }
 
+/// Checked in the order `stages`, `n`, `k`: the first error among them
+/// is the one reported, wherever it sits in the body.
 impl Deserialize for AdversaryRequest {
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        let stages = field(v, "stages")?
-            .as_array()
-            .ok_or_else(|| SerdeError::custom("`stages` is not an array"))?
-            .iter()
-            .map(Vec::<ElementKind>::deserialize)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(AdversaryRequest {
-            n: u32::deserialize(field(v, "n")?)?,
-            stages,
-            k: match v.get("k") {
-                Some(kv) => Some(u32::deserialize(kv)?),
-                None => None,
-            },
-        })
+    fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
+        let (mut n, mut stages, mut k) = (None, None, None);
+        if is_object(src)? {
+            de::fields(src, &["n", "stages", "k"], |src, i| match i {
+                0 => read_field(src, &mut n, u32::read),
+                1 => read_field(src, &mut stages, |src| {
+                    let not_array = |_: &str| SerdeError::custom("`stages` is not an array");
+                    de::elements(src, not_array, Vec::<ElementKind>::read)
+                }),
+                _ => read_field(src, &mut k, u32::read),
+            })?;
+        }
+        let stages = required(stages, "stages")?;
+        Ok(AdversaryRequest { n: required(n, "n")?, stages, k: k.transpose()? })
     }
 }
 
@@ -168,18 +184,21 @@ impl Serialize for SearchRequest {
 }
 
 impl Deserialize for SearchRequest {
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
+    fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
+        let (mut n, mut mode, mut max_depth, mut threads) = (None, None, None, None);
+        if is_object(src)? {
+            de::fields(src, &["n", "mode", "max_depth", "threads"], |src, i| match i {
+                0 => read_field(src, &mut n, u32::read),
+                1 => read_field(src, &mut mode, String::read),
+                2 => read_field(src, &mut max_depth, u32::read),
+                _ => read_field(src, &mut threads, u32::read),
+            })?;
+        }
         Ok(SearchRequest {
-            n: u32::deserialize(field(v, "n")?)?,
-            mode: String::deserialize(field(v, "mode")?)?,
-            max_depth: match v.get("max_depth") {
-                Some(d) => Some(u32::deserialize(d)?),
-                None => None,
-            },
-            threads: match v.get("threads") {
-                Some(t) => Some(u32::deserialize(t)?),
-                None => None,
-            },
+            n: required(n, "n")?,
+            mode: required(mode, "mode")?,
+            max_depth: max_depth.transpose()?,
+            threads: threads.transpose()?,
         })
     }
 }
@@ -236,8 +255,8 @@ impl Serialize for JobState {
 }
 
 impl Deserialize for JobState {
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        let s = String::deserialize(v)?;
+    fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
+        let s = String::read(src)?;
         JobState::parse(&s).ok_or_else(|| SerdeError::custom(format!("unknown job state {s:?}")))
     }
 }
@@ -295,6 +314,10 @@ impl Serialize for JobStatus {
 }
 
 impl Deserialize for JobStatus {
+    fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
+        de::buffered(src)
+    }
+
     fn deserialize(v: &Value) -> Result<Self, SerdeError> {
         Ok(JobStatus {
             schema: String::deserialize(field(v, "schema")?)?,
@@ -390,6 +413,10 @@ impl Serialize for ProgressFrame {
 }
 
 impl Deserialize for ProgressFrame {
+    fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
+        de::buffered(src)
+    }
+
     fn deserialize(v: &Value) -> Result<Self, SerdeError> {
         let frame = String::deserialize(field(v, "frame")?)?;
         let kind = match frame.as_str() {
@@ -441,6 +468,10 @@ impl Serialize for ErrorBody {
 }
 
 impl Deserialize for ErrorBody {
+    fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
+        de::buffered(src)
+    }
+
     fn deserialize(v: &Value) -> Result<Self, SerdeError> {
         Ok(ErrorBody { error: String::deserialize(field(v, "error")?)? })
     }

@@ -17,6 +17,7 @@
 use crate::ir::{CanonicalHash, Executor};
 use crate::network::ComparatorNetwork;
 use crate::sortcheck::SortCheck;
+use serde::de::{self, read_field, required, Source, Token};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use snet_obs::json::{obj, str_map};
 use std::sync::OnceLock;
@@ -243,30 +244,48 @@ pub(crate) fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, SerdeErro
     v.get(name).ok_or_else(|| SerdeError::custom(format!("missing field `{name}`")))
 }
 
-fn u32_vec(v: &Value, name: &str) -> Result<Vec<u32>, SerdeError> {
-    Vec::<u32>::deserialize(field(v, name)?)
-}
+/// The keys of a [`VerdictKind`] object, in the order of its slots.
+const KIND_KEYS: [&str; 12] = [
+    "kind", "tested", "index", "m", "wire_a", "wire_b", "input", "output", "input_a", "input_b",
+    "output_a", "output_b",
+];
 
+/// `kind` may come after the fields it selects, so each field's first
+/// value is read into its slot, and only the fields `kind` names are
+/// checked, in the order a lookup in a finished tree checked them.
 impl Deserialize for VerdictKind {
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        let kind = String::deserialize(field(v, "kind")?)?;
-        match kind.as_str() {
+    fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
+        let (mut kind, mut tested, mut index) = (None, None, None);
+        let mut nums: [Option<Result<u32, SerdeError>>; 3] = Default::default();
+        let mut vecs: [Option<Result<Vec<u32>, SerdeError>>; 6] = Default::default();
+        if matches!(src.next()?, Token::Object) {
+            de::fields(src, &KIND_KEYS, |src, i| match i {
+                0 => read_field(src, &mut kind, String::read),
+                1 => read_field(src, &mut tested, u64::read),
+                2 => read_field(src, &mut index, u64::read),
+                3..=5 => read_field(src, &mut nums[i - 3], u32::read),
+                _ => read_field(src, &mut vecs[i - 6], Vec::<u32>::read),
+            })?;
+        }
+        let [m, wire_a, wire_b] = nums;
+        let [input, output, input_a, input_b, output_a, output_b] = vecs;
+        match required(kind, "kind")?.as_str() {
             "sort-certificate" => {
-                Ok(VerdictKind::SortCertificate { tested: u64::deserialize(field(v, "tested")?)? })
+                Ok(VerdictKind::SortCertificate { tested: required(tested, "tested")? })
             }
             "counterexample" => Ok(VerdictKind::Counterexample {
-                index: u64::deserialize(field(v, "index")?)?,
-                input: u32_vec(v, "input")?,
-                output: u32_vec(v, "output")?,
+                index: required(index, "index")?,
+                input: required(input, "input")?,
+                output: required(output, "output")?,
             }),
             "adversary-witness" => Ok(VerdictKind::AdversaryWitness {
-                input_a: u32_vec(v, "input_a")?,
-                input_b: u32_vec(v, "input_b")?,
-                m: u32::deserialize(field(v, "m")?)?,
-                wire_a: u32::deserialize(field(v, "wire_a")?)?,
-                wire_b: u32::deserialize(field(v, "wire_b")?)?,
-                output_a: u32_vec(v, "output_a")?,
-                output_b: u32_vec(v, "output_b")?,
+                input_a: required(input_a, "input_a")?,
+                input_b: required(input_b, "input_b")?,
+                m: required(m, "m")?,
+                wire_a: required(wire_a, "wire_a")?,
+                wire_b: required(wire_b, "wire_b")?,
+                output_a: required(output_a, "output_a")?,
+                output_b: required(output_b, "output_b")?,
             }),
             other => Err(SerdeError::custom(format!("unknown verdict kind {other:?}"))),
         }
@@ -285,28 +304,59 @@ impl Serialize for Verdict {
     }
 }
 
+/// Checked in the order `hash`, `manifest`, `schema`, `wires`, `verdict`.
 impl Deserialize for Verdict {
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        let hash_hex = String::deserialize(field(v, "hash")?)?;
+    fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
+        let (mut schema, mut hash, mut wires, mut kind, mut manifest) =
+            (None, None, None, None, None);
+        if matches!(src.next()?, Token::Object) {
+            de::fields(
+                src,
+                &["schema", "hash", "wires", "verdict", "manifest"],
+                |src, i| match i {
+                    0 => read_field(src, &mut schema, String::read),
+                    1 => read_field(src, &mut hash, String::read),
+                    2 => read_field(src, &mut wires, u32::read),
+                    3 => read_field(src, &mut kind, VerdictKind::read),
+                    _ => read_field(src, &mut manifest, read_manifest),
+                },
+            )?;
+        }
+        let hash_hex = required(hash, "hash")?;
         let hash = CanonicalHash::from_hex(&hash_hex)
             .ok_or_else(|| SerdeError::custom(format!("malformed verdict hash {hash_hex:?}")))?;
-        let manifest = field(v, "manifest")?
-            .as_object()
-            .ok_or_else(|| SerdeError::custom("verdict manifest is not an object"))?
-            .iter()
-            .map(|(k, val)| {
-                String::deserialize(val).map(|s| (k.clone(), s)).map_err(|_| {
-                    SerdeError::custom(format!("manifest field {k:?} is not a string"))
-                })
-            })
-            .collect::<Result<Vec<_>, _>>()?;
+        let manifest = required(manifest, "manifest")?;
         Ok(Verdict {
-            schema: String::deserialize(field(v, "schema")?)?,
+            schema: required(schema, "schema")?,
             hash,
-            wires: u32::deserialize(field(v, "wires")?)?,
-            kind: VerdictKind::deserialize(field(v, "verdict")?)?,
+            wires: required(wires, "wires")?,
+            kind: required(kind, "verdict")?,
             manifest,
         })
+    }
+}
+
+/// A verdict's manifest: an object of strings, in document order. The
+/// first value that is no string is named, once the object has been read.
+fn read_manifest<S: Source>(src: &mut S) -> Result<Vec<(String, String)>, SerdeError> {
+    if !matches!(src.next()?, Token::Object) {
+        return Err(SerdeError::custom("verdict manifest is not an object"));
+    }
+    let (mut pairs, mut bad) = (Vec::new(), None);
+    while let Some(key) = src.next_key()? {
+        let key = key.into_owned();
+        let mut value = None;
+        read_field(src, &mut value, String::read)?;
+        match value {
+            Some(Ok(value)) => pairs.push((key, value)),
+            _ => {
+                bad.get_or_insert(key);
+            }
+        }
+    }
+    match bad {
+        Some(key) => Err(SerdeError::custom(format!("manifest field {key:?} is not a string"))),
+        None => Ok(pairs),
     }
 }
 

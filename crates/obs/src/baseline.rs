@@ -12,6 +12,7 @@
 
 use crate::event::fmt_f64;
 use crate::json::{num, obj, str_map};
+use serde::de::{self, Source};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -95,6 +96,10 @@ impl Serialize for Baseline {
 /// the file must be an object carrying a `snet-bench-baseline/*` schema
 /// and a name.
 impl Deserialize for Baseline {
+    fn read<S: Source>(src: &mut S) -> Result<Self, Error> {
+        de::buffered(src)
+    }
+
     fn deserialize(v: &Value) -> Result<Self, Error> {
         if v.as_object().is_none() {
             return Err(Error::custom("baseline file is not a JSON object"));

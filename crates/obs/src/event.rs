@@ -8,6 +8,7 @@
 //! lines back through the same codec.
 
 use crate::json::{num, obj, str_map};
+use serde::de::{self, Source};
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// What an [`Event`] records.
@@ -120,6 +121,10 @@ impl Serialize for Event {
 /// Strict: an unknown key, a value of the wrong type (ids must be
 /// non-negative integers, attrs strings) or a missing `type` is an error.
 impl Deserialize for Event {
+    fn read<S: Source>(src: &mut S) -> Result<Self, Error> {
+        de::buffered(src)
+    }
+
     fn deserialize(v: &Value) -> Result<Self, Error> {
         let fields = v.as_object().ok_or_else(|| Error::custom("event is not an object"))?;
         let mut ev = Event {

@@ -245,8 +245,34 @@ pub fn status_reason(status: u16) -> &'static str {
     }
 }
 
+/// The head of a response: status line, `content-type`, the framing
+/// header (`content-length` when `body_len` is known, else chunked
+/// transfer encoding), any `extra` headers and the blank line.
+fn head(
+    status: u16,
+    content_type: &str,
+    body_len: Option<usize>,
+    extra: &[(&str, &str)],
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "HTTP/1.1 {} {}\r\n", status, status_reason(status));
+    let _ = write!(out, "content-type: {content_type}\r\n");
+    let _ = match body_len {
+        Some(len) => write!(out, "content-length: {len}\r\n"),
+        None => write!(out, "transfer-encoding: chunked\r\n"),
+    };
+    for (k, v) in extra {
+        let _ = write!(out, "{k}: {v}\r\n");
+    }
+    out.extend_from_slice(b"\r\n");
+    out
+}
+
 /// Writes one fixed-length response (status line, standard headers, any
-/// `extra` headers, `Content-Length`, body).
+/// `extra` headers, `Content-Length`, body). Head and body go to `w` in
+/// one write: the accept loop sets `TCP_NODELAY`, so each write would
+/// leave as a segment of its own.
 pub fn write_response(
     w: &mut impl Write,
     status: u16,
@@ -254,20 +280,16 @@ pub fn write_response(
     body: &[u8],
     extra: &[(&str, &str)],
 ) -> io::Result<()> {
-    write!(w, "HTTP/1.1 {} {}\r\n", status, status_reason(status))?;
-    write!(w, "content-type: {content_type}\r\n")?;
-    write!(w, "content-length: {}\r\n", body.len())?;
-    for (k, v) in extra {
-        write!(w, "{k}: {v}\r\n")?;
-    }
-    w.write_all(b"\r\n")?;
-    w.write_all(body)?;
+    let mut out = head(status, content_type, Some(body.len()), extra);
+    out.extend_from_slice(body);
+    w.write_all(&out)?;
     w.flush()
 }
 
 /// A chunked-transfer-encoding response in progress; each
 /// [`ChunkedWriter::chunk`] flushes immediately so ND-JSON progress
-/// frames reach the client as they happen, not at job completion.
+/// frames reach the client as they happen, not at job completion. The
+/// head and each chunk are one write each.
 pub struct ChunkedWriter<'w, W: Write> {
     w: &'w mut W,
     finished: bool,
@@ -282,13 +304,7 @@ impl<'w, W: Write> ChunkedWriter<'w, W> {
         content_type: &str,
         extra: &[(&str, &str)],
     ) -> io::Result<ChunkedWriter<'w, W>> {
-        write!(w, "HTTP/1.1 {} {}\r\n", status, status_reason(status))?;
-        write!(w, "content-type: {content_type}\r\n")?;
-        w.write_all(b"transfer-encoding: chunked\r\n")?;
-        for (k, v) in extra {
-            write!(w, "{k}: {v}\r\n")?;
-        }
-        w.write_all(b"\r\n")?;
+        w.write_all(&head(status, content_type, None, extra))?;
         w.flush()?;
         Ok(ChunkedWriter { w, finished: false })
     }
@@ -299,9 +315,11 @@ impl<'w, W: Write> ChunkedWriter<'w, W> {
         if bytes.is_empty() {
             return Ok(());
         }
-        write!(self.w, "{:x}\r\n", bytes.len())?;
-        self.w.write_all(bytes)?;
-        self.w.write_all(b"\r\n")?;
+        let mut out = Vec::with_capacity(bytes.len() + 20);
+        let _ = write!(out, "{:x}\r\n", bytes.len());
+        out.extend_from_slice(bytes);
+        out.extend_from_slice(b"\r\n");
+        self.w.write_all(&out)?;
         self.w.flush()
     }
 
@@ -353,6 +371,44 @@ mod tests {
     #[test]
     fn eof_between_requests_is_clean() {
         assert!(matches!(parse(b"").unwrap(), ReadOutcome::Eof));
+    }
+
+    /// Counts the writes a response takes.
+    #[derive(Default)]
+    struct Writes {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write_and_each_chunk_is_one() {
+        let mut w = Writes::default();
+        let extra = [("x-snet-cache", "hit"), ("x-snet-job", "job-1")];
+        write_response(&mut w, 200, "application/json", b"{\"a\":1}", &extra).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            String::from_utf8(w.bytes).unwrap(),
+            "HTTP/1.1 200 OK\r\ncontent-type: application/json\r\ncontent-length: 7\r\n\
+             x-snet-cache: hit\r\nx-snet-job: job-1\r\n\r\n{\"a\":1}"
+        );
+        let mut w = Writes::default();
+        let mut cw = ChunkedWriter::start(&mut w, 200, "application/x-ndjson", &[]).unwrap();
+        cw.chunk(b"{}\n").unwrap();
+        cw.chunk(b"[]\n").unwrap();
+        cw.finish().unwrap();
+        assert_eq!(w.writes, 4, "head, two chunks, the terminator");
     }
 
     #[test]

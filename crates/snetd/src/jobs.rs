@@ -4,9 +4,9 @@
 //!
 //! ## Coalescing
 //!
-//! `/v1/check` requests are keyed by [`CanonicalHash::of_network`] —
-//! computed *without* compiling (lower + canonical passes only, no
-//! `ir.compile` span). Three outcomes, in cost order:
+//! `/v1/check` requests are keyed by the hash of their [`Canonical`]
+//! form — lowered and run through the canonical passes once, with no
+//! `ir.compile` span. Three outcomes, in cost order:
 //!
 //! 1. **warm hit** — the store holds a verdict for the hash that passes
 //!    its re-check; the stored bytes are replayed verbatim, nothing is
@@ -15,13 +15,14 @@
 //!    caller blocks on that job and receives the same bytes, so N
 //!    concurrent submissions of one canonical form compile exactly once;
 //! 3. **miss** — this request leads: it reads the store a second time,
-//!    then compiles (the only `ir.compile` span), checks, persists, and
-//!    fans the bytes out to any followers.
+//!    then makes the canonical program an executor (the only
+//!    `ir.compile` span), checks, persists, and fans the bytes out to any
+//!    followers.
 //!
 //! `/v1/adversary` requests neither coalesce nor record jobs: perfbench's
 //! count cross-check pins one store read per adversary miss. They hash
-//! through [`Canonical`], whose program a miss runs the witness on, so a
-//! cold request lowers once.
+//! through [`Canonical`] too, whose program a miss runs the witness on,
+//! so a cold request of either kind lowers once.
 //!
 //! ## Progress capture
 //!
@@ -43,7 +44,7 @@ use crate::verdicts::{self, Served};
 use serde::{Serialize, Value};
 use snet_core::api::{AdversaryRequest, ProgressFrame, SearchRequest};
 use snet_core::api::{CacheState, FrameKind, JobState, JobStatus, API_SCHEMA};
-use snet_core::ir::{Canonical, CanonicalHash, Executor};
+use snet_core::ir::{Canonical, CanonicalHash};
 use snet_core::network::ComparatorNetwork;
 use snet_core::verdict::Verdict;
 use snet_obs::json::obj;
@@ -559,10 +560,11 @@ impl JobManager {
                 "check is exhaustive over 2^n inputs; n must be 1..=26 (got {wires})"
             )));
         }
-        // Hash without compiling: of_network runs the same canonical
-        // passes as the executor, so a warm entry keyed by a previous
-        // compile is found here with no `ir.compile` span.
-        let hash = CanonicalHash::of_network(net);
+        // Lower and hash once: a warm entry is found here with no
+        // `ir.compile` span, and a leading miss runs the canonical program
+        // the hash came from.
+        let canon = Canonical::of_network(net);
+        let hash = canon.hash();
         if let Some(hit) = verdicts::lookup_check(self.store(), net, &hash) {
             return Ok(CheckAnswer::hit(hit, hash));
         }
@@ -602,7 +604,7 @@ impl JobManager {
         // completion becomes a store hit, not a stale follower.
         let outcome = match self.create_job("check", ctx) {
             Ok(job) => {
-                let out = self.run_check_leader(&job, net, &hash, ctx);
+                let out = self.run_check_leader(&job, net, canon, &hash, ctx);
                 out.map(|body| (body, Some(job.id.clone()), ctx.trace_hex.clone()))
             }
             Err(e) => Err(e.message),
@@ -617,6 +619,7 @@ impl JobManager {
         &self,
         job: &Arc<Job>,
         net: &ComparatorNetwork,
+        canon: Canonical,
         hash: &CanonicalHash,
         ctx: &RequestCtx,
     ) -> Result<Vec<u8>, String> {
@@ -625,7 +628,8 @@ impl JobManager {
         let threads = self.inner.cfg.check_threads.max(1);
         let computed = catch_unwind(AssertUnwindSafe(|| {
             // The one `ir.compile` span.
-            verdicts::compute_check(self.store(), net, hash, Executor::compile, threads)
+            let exec = canon.into_executor();
+            verdicts::compute_check(self.store(), net, hash, &exec, threads)
         }));
         drop(guard);
         let served = match computed {

@@ -8,9 +8,9 @@
 //! certificate is served as stored, a counterexample is re-run, a witness
 //! [`verify`](SortingRefutation::verify)d) before it serves the stored
 //! bytes; a claim that fails is quarantined and reads as a miss. A
-//! compute compiles at most once, builds the [`Verdict`] from the hash in
-//! hand and [`persist`]s it. The adversary path lowers once: the
-//! [`Canonical`] form the hash came from becomes the executor of a miss.
+//! compute builds the [`Verdict`] from the hash in hand and [`persist`]s
+//! it. Both kinds lower once: the [`Canonical`] form the hash came from
+//! becomes the executor of a miss.
 
 use snet_adversary::{refute_compiled, theorem41, SortingRefutation, Theorem41Output};
 use snet_core::ir::{Canonical, CanonicalHash, Executor};
@@ -57,15 +57,16 @@ fn recheck(
     Some(Served { verdict, bytes, write_error: None })
 }
 
-/// The exhaustive 0-1 check of a miss, compiled once by `compile`.
+/// The exhaustive 0-1 check of a miss, run on `exec`: `net`'s
+/// [`Canonical`] form made an executor, or a raw compile of `net`.
 pub fn compute_check(
     store: Option<&ArtifactStore>,
     net: &ComparatorNetwork,
     hash: &CanonicalHash,
-    compile: impl FnOnce(&ComparatorNetwork) -> Executor,
+    exec: &Executor,
     threads: usize,
 ) -> Served {
-    let check = compile(net).check_zero_one(threads);
+    let check = exec.check_zero_one(threads);
     persist(store, Verdict::of_check(*hash, net.wires() as u32, check))
 }
 

@@ -354,6 +354,24 @@ fn unpaired_surrogates_are_a_422_not_a_dead_worker() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// 20,000 nested arrays once overflowed a connection worker's stack in
+/// the recursive JSON decoder and aborted the daemon. Nesting past the
+/// decoder's limit is a plain 422 now, and every worker keeps serving.
+#[test]
+fn deeply_nested_bodies_are_a_422_not_a_dead_daemon() {
+    let (handle, addr, root) = daemon("deep");
+    let body = "[".repeat(20_000) + &"]".repeat(20_000);
+    for _ in 0..ServeConfig::default().conn_threads + 1 {
+        let r = client::request(&addr, "POST", "/v1/check", Some(body.as_bytes())).unwrap();
+        assert_eq!(r.status, 422, "{}", r.text());
+        assert!(r.text().contains("nesting deeper than 128 levels"), "{}", r.text());
+    }
+    let r = client::request(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(r.status, 200);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A deterministic client-side trace header: distinct per `i`, valid
 /// per the `x-snet-trace` grammar.
 fn trace_header_for(i: u64) -> (String, String) {

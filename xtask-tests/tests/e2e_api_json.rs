@@ -1,11 +1,14 @@
 //! Properties of the JSON layer every API request goes through: the
-//! vendored `serde_json` text codec over the `serde::Value` tree, whose
-//! strings keep short text inline.
+//! vendored `serde_json`, which decodes text straight into a type through
+//! its token scanner and prints `serde::Value` trees, whose strings keep
+//! short text inline.
 //!
 //! * `from_str` never panics on arbitrary text, as a bare `Value` or as
 //!   any of the three request bodies snetd accepts (`CheckRequest`,
-//!   `AdversaryRequest`, `SearchRequest`), including near-miss mutations
-//!   of valid bodies;
+//!   `AdversaryRequest`, `SearchRequest`) or a `Verdict`, including
+//!   near-miss mutations of valid bodies;
+//! * decoding a body from its text and from its `Value` tree agree: the
+//!   same value, or the same error (malformed text fails both);
 //! * random `Value` trees round-trip through `to_string` and
 //!   `to_string_pretty`, with strings of 0–40 bytes (on both sides of the
 //!   22-byte inline limit) holding quotes, backslashes, control, non-ASCII
@@ -18,7 +21,10 @@ use proptest::test_runner::TestRng;
 use serde_json::{Number, Value};
 use snet_core::api::{AdversaryRequest, CheckRequest, SearchRequest};
 use snet_core::element::{Element, ElementKind};
+use snet_core::ir::CanonicalHash;
 use snet_core::network::{ComparatorNetwork, Level};
+use snet_core::verdict::{Verdict, VerdictKind};
+use std::fmt::Debug;
 
 /// Characters a string or a broken document is made of: JSON syntax,
 /// escapes, controls, non-ASCII and astral text.
@@ -102,14 +108,15 @@ impl Strategy for Values {
     }
 }
 
-/// Valid bodies of each request kind, then mangled: truncated, spliced
-/// with syntax, or with a range deleted (always on `char` boundaries).
+/// Valid bodies of each request kind and verdicts, then mangled:
+/// truncated, spliced with syntax, or with a range deleted (always on
+/// `char` boundaries).
 struct Bodies;
 
 impl Bodies {
     fn valid(rng: &mut TestRng) -> String {
         let kinds = [ElementKind::Cmp, ElementKind::CmpRev, ElementKind::Pass, ElementKind::Swap];
-        match rng.below(3) {
+        match rng.below(4) {
             0 => {
                 let level = Level::of_elements(vec![Element::cmp(0, 1), Element::cmp_rev(2, 3)]);
                 let network = ComparatorNetwork::new(4, vec![level]).unwrap();
@@ -123,11 +130,31 @@ impl Bodies {
                 let k = (rng.below(2) == 1).then(|| rng.below(5) as u32);
                 serde_json::to_string(&AdversaryRequest { n, stages, k }).unwrap()
             }
-            _ => {
+            2 => {
                 let mode = pick(rng, &["unrestricted", "shuffle-legal", "warp"]).to_string();
                 let max_depth = (rng.below(2) == 1).then(|| rng.below(9) as u32);
                 let req = SearchRequest { n: rng.below(20) as u32, mode, max_depth, threads: None };
                 serde_json::to_string(&req).unwrap()
+            }
+            _ => {
+                let n = 1 + rng.below(4) as u32;
+                let which = rng.below(3);
+                let mut bits = || (0..n).map(|_| rng.below(2) as u32).collect::<Vec<u32>>();
+                let (input, output, input_b, output_b) = (bits(), bits(), bits(), bits());
+                let kind = match which {
+                    0 => VerdictKind::SortCertificate { tested: 1 << n },
+                    1 => VerdictKind::Counterexample { index: 5, input, output },
+                    _ => VerdictKind::AdversaryWitness {
+                        input_a: input,
+                        input_b,
+                        m: 1,
+                        wire_a: 0,
+                        wire_b: n - 1,
+                        output_a: output,
+                        output_b,
+                    },
+                };
+                Verdict::with_kind(CanonicalHash::of_label("e2e_api_json"), n, kind).to_json()
             }
         }
     }
@@ -160,17 +187,40 @@ impl Strategy for Bodies {
     }
 }
 
-/// Parses `text` as every request type; `Err` names the one that
-/// panicked.
+/// `T` decoded from `text` and from the `Value` tree of `text`: the same
+/// value, or the same error (malformed text fails both alike).
+fn text_and_tree<T: PartialEq + Debug>(
+    text: &str,
+    from_text: fn(&str) -> Result<T, serde_json::Error>,
+    from_tree: fn(Value) -> Result<T, serde_json::Error>,
+) -> Result<(), String> {
+    let direct = from_text(text).map_err(|e| e.to_string());
+    let walked = serde_json::from_str(text).and_then(from_tree).map_err(|e| e.to_string());
+    if direct == walked {
+        Ok(())
+    } else {
+        Err(format!("from text {direct:?}, from the tree {walked:?}, on {text:?}"))
+    }
+}
+
+/// Parses `text` as a `Value` and as every body type, each from the text
+/// and from its tree; `Err` names a decode that panicked or a type whose
+/// two decodes disagree.
 fn parse_all(text: &str) -> Result<(), String> {
-    let run = |what: &str, f: &dyn Fn()| {
+    let run = |what: &str, f: &dyn Fn() -> Result<(), String>| {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
-            .map_err(|_| format!("{what} panicked on {text:?}"))
+            .map_err(|_| format!("{what} panicked on {text:?}"))?
+            .map_err(|e| format!("{what}: {e}"))
     };
-    run("Value", &|| drop(serde_json::from_str::<Value>(text)))?;
-    run("CheckRequest", &|| drop(serde_json::from_str::<CheckRequest>(text)))?;
-    run("AdversaryRequest", &|| drop(serde_json::from_str::<AdversaryRequest>(text)))?;
-    run("SearchRequest", &|| drop(serde_json::from_str::<SearchRequest>(text)))
+    use serde_json::{from_str, from_value};
+    run("Value", &|| {
+        drop(from_str::<Value>(text));
+        Ok(())
+    })?;
+    run("CheckRequest", &|| text_and_tree::<CheckRequest>(text, from_str, from_value))?;
+    run("AdversaryRequest", &|| text_and_tree::<AdversaryRequest>(text, from_str, from_value))?;
+    run("SearchRequest", &|| text_and_tree::<SearchRequest>(text, from_str, from_value))?;
+    run("Verdict", &|| text_and_tree::<Verdict>(text, from_str, from_value))
 }
 
 proptest! {
