@@ -12,10 +12,11 @@
 //! [`Serialize`]/[`Deserialize`] idiom as [`crate::verdict`]; the schema
 //! tag [`API_SCHEMA`] is stamped into every response so clients can
 //! reject a daemon speaking a different revision instead of misparsing
-//! it. The three request bodies decode straight from their text (no
-//! `Value` tree), with the errors and field precedence a lookup in a
-//! finished tree had; the responses, which clients decode, go through a
-//! tree.
+//! it. The request bodies and the job documents clients decode
+//! ([`JobStatus`], [`ProgressFrame`]) read straight from their text (no
+//! `Value` tree but a job's `result`), with the errors and field
+//! precedence a lookup in a finished tree had. [`ErrorBody`] is only
+//! written.
 //!
 //! Progress for long-running jobs streams as newline-delimited JSON
 //! [`ProgressFrame`]s (one compact JSON object per line, no embedded
@@ -23,7 +24,6 @@
 
 use crate::element::ElementKind;
 use crate::network::ComparatorNetwork;
-use crate::verdict::field;
 use serde::de::{self, read_field, required, Source, Token};
 use serde::{Deserialize, Error as SerdeError, Serialize, Value};
 use snet_obs::json::obj;
@@ -313,22 +313,30 @@ impl Serialize for JobStatus {
     }
 }
 
+/// Checked in the order `schema`, `id`, `kind`, `state`, `error`; an
+/// absent `error` or `result` is `None`, and a `result` of `null` is kept.
 impl Deserialize for JobStatus {
     fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
-        de::buffered(src)
-    }
-
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
+        let (mut schema, mut id, mut kind, mut state, mut error, mut result) =
+            (None, None, None, None, None, None);
+        const KEYS: [&str; 6] = ["schema", "id", "kind", "state", "error", "result"];
+        if is_object(src)? {
+            de::fields(src, &KEYS, |src, i| match i {
+                0 => read_field(src, &mut schema, String::read),
+                1 => read_field(src, &mut id, String::read),
+                2 => read_field(src, &mut kind, String::read),
+                3 => read_field(src, &mut state, JobState::read),
+                4 => read_field(src, &mut error, String::read),
+                _ => read_field(src, &mut result, Value::read),
+            })?;
+        }
         Ok(JobStatus {
-            schema: String::deserialize(field(v, "schema")?)?,
-            id: String::deserialize(field(v, "id")?)?,
-            kind: String::deserialize(field(v, "kind")?)?,
-            state: JobState::deserialize(field(v, "state")?)?,
-            error: match v.get("error") {
-                Some(e) => Some(String::deserialize(e)?),
-                None => None,
-            },
-            result: v.get("result").cloned(),
+            schema: required(schema, "schema")?,
+            id: required(id, "id")?,
+            kind: required(kind, "kind")?,
+            state: required(state, "state")?,
+            error: error.transpose()?,
+            result: result.transpose()?,
         })
     }
 }
@@ -412,31 +420,40 @@ impl Serialize for ProgressFrame {
     }
 }
 
+/// `frame` picks the payload fields, which may come before it, so every
+/// field's first value is read into its slot; checked in the order
+/// `frame`, the payload's fields, `job`, `seq`, `trace`.
 impl Deserialize for ProgressFrame {
     fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
-        de::buffered(src)
-    }
-
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        let frame = String::deserialize(field(v, "frame")?)?;
-        let kind = match frame.as_str() {
-            "lifecycle" => {
-                FrameKind::Lifecycle { state: JobState::deserialize(field(v, "state")?)? }
+        let (mut frame, mut state, mut name, mut value, mut message) =
+            (None, None, None, None, None);
+        let (mut job, mut seq, mut trace) = (None, None, None);
+        const KEYS: [&str; 8] =
+            ["frame", "state", "name", "value", "message", "job", "seq", "trace"];
+        if is_object(src)? {
+            de::fields(src, &KEYS, |src, i| match i {
+                0 => read_field(src, &mut frame, String::read),
+                1 => read_field(src, &mut state, JobState::read),
+                2 => read_field(src, &mut name, String::read),
+                3 => read_field(src, &mut value, u64::read),
+                4 => read_field(src, &mut message, String::read),
+                5 => read_field(src, &mut job, String::read),
+                6 => read_field(src, &mut seq, u64::read),
+                _ => read_field(src, &mut trace, String::read),
+            })?;
+        }
+        let kind = match required(frame, "frame")?.as_str() {
+            "lifecycle" => FrameKind::Lifecycle { state: required(state, "state")? },
+            "event" => {
+                FrameKind::Event { name: required(name, "name")?, value: required(value, "value")? }
             }
-            "event" => FrameKind::Event {
-                name: String::deserialize(field(v, "name")?)?,
-                value: u64::deserialize(field(v, "value")?)?,
-            },
-            "log" => FrameKind::Log { message: String::deserialize(field(v, "message")?)? },
+            "log" => FrameKind::Log { message: required(message, "message")? },
             other => return Err(SerdeError::custom(format!("unknown frame kind {other:?}"))),
         };
         Ok(ProgressFrame {
-            job: String::deserialize(field(v, "job")?)?,
-            seq: u64::deserialize(field(v, "seq")?)?,
-            trace: match v.get("trace") {
-                Some(t) => Some(String::deserialize(t)?),
-                None => None,
-            },
+            job: required(job, "job")?,
+            seq: required(seq, "seq")?,
+            trace: trace.transpose()?,
             kind,
         })
     }
@@ -464,16 +481,6 @@ impl ErrorBody {
 impl Serialize for ErrorBody {
     fn serialize(&self) -> Value {
         obj(vec![("error", self.error.serialize())])
-    }
-}
-
-impl Deserialize for ErrorBody {
-    fn read<S: Source>(src: &mut S) -> Result<Self, SerdeError> {
-        de::buffered(src)
-    }
-
-    fn deserialize(v: &Value) -> Result<Self, SerdeError> {
-        Ok(ErrorBody { error: String::deserialize(field(v, "error")?)? })
     }
 }
 

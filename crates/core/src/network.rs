@@ -51,7 +51,10 @@ impl Level {
                 return Err(NetworkError::RouteSize { expected: n, got: p.len() });
             }
         }
-        let mut used = vec![false; n];
+        // Marks up to the largest wire in range, not `n`: a document that
+        // names a huge `n` allocates no more than the wires it lists.
+        let largest = self.elements.iter().flat_map(|e| [e.a, e.b]).filter(|&w| (w as usize) < n);
+        let mut used = vec![false; largest.max().map_or(0, |w| w as usize + 1)];
         for e in &self.elements {
             for w in [e.a, e.b] {
                 if (w as usize) >= n {
@@ -436,6 +439,25 @@ mod tests {
         let err = ComparatorNetwork::new(2, vec![Level::of_elements(vec![Element::cmp(0, 5)])])
             .unwrap_err();
         assert_eq!(err, NetworkError::WireOutOfRange { wire: 5, n: 2 });
+    }
+
+    #[test]
+    fn a_huge_wire_count_allocates_only_for_the_wires_listed() {
+        let level = || Level::of_elements(vec![Element::cmp(0, 1), Element::cmp(3, 2)]);
+        let net = ComparatorNetwork::new(usize::MAX, vec![level(), level()]).unwrap();
+        assert_eq!(net.wires(), usize::MAX);
+        // The first error is still the first in element order: a reuse
+        // before an out-of-range wire, an out-of-range wire before a reuse.
+        let reuse_first =
+            Level::of_elements(vec![Element::cmp(0, 1), Element::cmp(1, 2), Element::cmp(0, 9)]);
+        let err = ComparatorNetwork::new(4, vec![reuse_first]).unwrap_err();
+        assert_eq!(err, NetworkError::WireReuse { wire: 1 });
+        let range_first = Level::of_elements(vec![Element::cmp(0, 9), Element::cmp(0, 1)]);
+        let err = ComparatorNetwork::new(4, vec![range_first]).unwrap_err();
+        assert_eq!(err, NetworkError::WireOutOfRange { wire: 9, n: 4 });
+        let none_in_range = Level::of_elements(vec![Element::cmp(7, 8)]);
+        let err = ComparatorNetwork::new(4, vec![none_in_range]).unwrap_err();
+        assert_eq!(err, NetworkError::WireOutOfRange { wire: 7, n: 4 });
     }
 
     #[test]

@@ -239,11 +239,6 @@ impl Serialize for VerdictKind {
     }
 }
 
-/// Field `name` of an object, or a "missing field" error.
-pub(crate) fn field<'v>(v: &'v Value, name: &str) -> Result<&'v Value, SerdeError> {
-    v.get(name).ok_or_else(|| SerdeError::custom(format!("missing field `{name}`")))
-}
-
 /// The keys of a [`VerdictKind`] object, in the order of its slots.
 const KIND_KEYS: [&str; 12] = [
     "kind", "tested", "index", "m", "wire_a", "wire_b", "input", "output", "input_a", "input_b",

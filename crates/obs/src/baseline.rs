@@ -12,7 +12,7 @@
 
 use crate::event::fmt_f64;
 use crate::json::{num, obj, str_map};
-use serde::de::{self, Source};
+use serde::de::{self, read_field, Source, Token};
 use serde::{Deserialize, Error, Serialize, Value};
 use std::collections::BTreeMap;
 
@@ -94,29 +94,25 @@ impl Serialize for Baseline {
 /// Lenient about content, strict about identity: unknown keys,
 /// non-string manifest values and non-numeric metrics are skipped, but
 /// the file must be an object carrying a `snet-bench-baseline/*` schema
-/// and a name.
+/// and a name. The first of repeated top-level keys counts, and the last
+/// of a metric's repeated values.
 impl Deserialize for Baseline {
     fn read<S: Source>(src: &mut S) -> Result<Self, Error> {
-        de::buffered(src)
-    }
-
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        if v.as_object().is_none() {
+        if !matches!(src.next()?, Token::Object) {
             return Err(Error::custom("baseline file is not a JSON object"));
         }
-        let text = |key: &str| v.get(key).and_then(Value::as_str).unwrap_or_default().to_string();
-        let entries = |key: &str| v.get(key).and_then(Value::as_object).unwrap_or_default();
+        let (mut schema, mut name, mut manifest, mut metrics) = (None, None, None, None);
+        de::fields(src, &["schema", "name", "manifest", "metrics"], |src, i| match i {
+            0 => read_field(src, &mut schema, String::read),
+            1 => read_field(src, &mut name, String::read),
+            2 => read_field(src, &mut manifest, |src| entries(src, String::read)),
+            _ => read_field(src, &mut metrics, |src| entries(src, f64::read)),
+        })?;
         let baseline = Baseline {
-            schema: text("schema"),
-            name: text("name"),
-            manifest: entries("manifest")
-                .iter()
-                .filter_map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
-                .collect(),
-            metrics: entries("metrics")
-                .iter()
-                .filter_map(|(k, v)| Some((k.clone(), v.as_f64()?)))
-                .collect(),
+            schema: or_default(schema),
+            name: or_default(name),
+            manifest: or_default(manifest),
+            metrics: or_default(metrics).into_iter().collect(),
         };
         if baseline.schema.is_empty() {
             return Err(Error::custom("baseline file has no schema field"));
@@ -132,6 +128,32 @@ impl Deserialize for Baseline {
         }
         Ok(baseline)
     }
+}
+
+/// A lenient field's value: what decoded, else the default.
+fn or_default<T: Default>(slot: Option<Result<T, Error>>) -> T {
+    slot.and_then(Result::ok).unwrap_or_default()
+}
+
+/// The members of an object whose values decode with `read`, in document
+/// order (the others are skipped); anything but an object is an error.
+fn entries<S: Source, T>(
+    src: &mut S,
+    mut read: impl FnMut(&mut S) -> Result<T, Error>,
+) -> Result<Vec<(String, T)>, Error> {
+    if !matches!(src.next()?, Token::Object) {
+        return Err(Error::custom("not an object"));
+    }
+    let mut out = Vec::new();
+    while let Some(key) = src.next_key()? {
+        let key = key.into_owned();
+        let mut value = None;
+        read_field(src, &mut value, &mut read)?;
+        if let Some(Ok(value)) = value {
+            out.push((key, value));
+        }
+    }
+    Ok(out)
 }
 
 /// Which way a metric is allowed to move.

@@ -8,7 +8,7 @@
 //! lines back through the same codec.
 
 use crate::json::{num, obj, str_map};
-use serde::de::{self, Source};
+use serde::de::{Source, Token};
 use serde::{Deserialize, Error, Serialize, Value};
 
 /// What an [`Event`] records.
@@ -118,15 +118,19 @@ impl Serialize for Event {
     }
 }
 
+/// The keys of an [`Event`] object.
+const EVENT_KEYS: [&str; 9] =
+    ["type", "name", "id", "parent", "thread", "t_us", "dur_us", "value", "attrs"];
+
 /// Strict: an unknown key, a value of the wrong type (ids must be
 /// non-negative integers, attrs strings) or a missing `type` is an error.
+/// Keys are checked in document order (a repeated key's last value
+/// counts), so the first bad member is the one reported.
 impl Deserialize for Event {
     fn read<S: Source>(src: &mut S) -> Result<Self, Error> {
-        de::buffered(src)
-    }
-
-    fn deserialize(v: &Value) -> Result<Self, Error> {
-        let fields = v.as_object().ok_or_else(|| Error::custom("event is not an object"))?;
+        if !matches!(src.next()?, Token::Object) {
+            return Err(Error::custom("event is not an object"));
+        }
         let mut ev = Event {
             kind: EventKind::Counter,
             name: String::new(),
@@ -139,34 +143,42 @@ impl Deserialize for Event {
             attrs: Vec::new(),
         };
         let mut kind = None;
-        for (key, val) in fields {
-            match key.as_str() {
-                "type" => {
-                    let wire = String::deserialize(val)?;
+        while let Some(key) = src.next_key()? {
+            let Some(i) = EVENT_KEYS.iter().position(|k| *k == key) else {
+                return Err(Error::custom(format!("unknown event field {:?}", &*key)));
+            };
+            match i {
+                0 => {
+                    let wire = String::read(src)?;
                     let unknown = || Error::custom(format!("unknown event type {wire:?}"));
                     kind = Some(EventKind::from_wire_name(&wire).ok_or_else(unknown)?);
                 }
-                "name" => ev.name = String::deserialize(val)?,
-                "id" => ev.id = u64::deserialize(val)?,
-                "parent" => ev.parent = u64::deserialize(val)?,
-                "thread" => ev.thread = u64::deserialize(val)?,
-                "t_us" => ev.t_us = u64::deserialize(val)?,
-                "dur_us" => ev.dur_us = u64::deserialize(val)?,
-                "value" => ev.value = f64::deserialize(val)?,
-                "attrs" => {
-                    let attrs =
-                        val.as_object().ok_or_else(|| Error::custom("attrs is not an object"))?;
-                    ev.attrs = attrs
-                        .iter()
-                        .map(|(k, v)| String::deserialize(v).map(|s| (k.clone(), s)))
-                        .collect::<Result<_, _>>()?;
-                }
-                other => return Err(Error::custom(format!("unknown event field {other:?}"))),
+                1 => ev.name = String::read(src)?,
+                2 => ev.id = u64::read(src)?,
+                3 => ev.parent = u64::read(src)?,
+                4 => ev.thread = u64::read(src)?,
+                5 => ev.t_us = u64::read(src)?,
+                6 => ev.dur_us = u64::read(src)?,
+                7 => ev.value = f64::read(src)?,
+                _ => ev.attrs = read_attrs(src)?,
             }
         }
         ev.kind = kind.ok_or_else(|| Error::custom("event has no type"))?;
         Ok(ev)
     }
+}
+
+/// An event's `attrs`: an object of strings, in document order.
+fn read_attrs<S: Source>(src: &mut S) -> Result<Vec<(String, String)>, Error> {
+    if !matches!(src.next()?, Token::Object) {
+        return Err(Error::custom("attrs is not an object"));
+    }
+    let mut attrs = Vec::new();
+    while let Some(key) = src.next_key()? {
+        let key = key.into_owned();
+        attrs.push((key, String::read(src)?));
+    }
+    Ok(attrs)
 }
 
 /// Formats an `f64` for text output the way [`crate::json::num`] encodes

@@ -75,18 +75,22 @@ pub enum ReadOutcome {
     Idle,
 }
 
-/// A malformed or over-limit request, mapped to the response status the
-/// server should send before closing.
+/// A rejected request: the HTTP status to answer with and why, sent as
+/// an `ErrorBody`. [`read_request`] returns one for a malformed or
+/// over-limit request (`400`, `413`, `505`, …), after which the server
+/// closes the connection. The routes and the job manager return one for
+/// a body that does not decode or that they refuse (`422`), a drain
+/// (`503`), or an unknown route or job (`404`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HttpError {
-    /// HTTP status to answer with (`400`, `413`, `505`, …).
+    /// HTTP status to answer with.
     pub status: u16,
     /// Human-readable detail for the error body.
     pub message: String,
 }
 
 impl HttpError {
-    fn new(status: u16, message: impl Into<String>) -> HttpError {
+    pub(crate) fn new(status: u16, message: impl Into<String>) -> HttpError {
         HttpError { status, message: message.into() }
     }
 }

@@ -39,6 +39,7 @@
 //! frames. Jobs are routed by thread only; their workers' events reach
 //! the request trace but not the job.
 
+use crate::http::HttpError;
 use crate::telemetry::{RequestCtx, TraceCapture};
 use crate::verdicts::{self, Served};
 use serde::{Serialize, Value};
@@ -57,24 +58,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-/// An application-level rejection: the HTTP status to answer with and a
-/// human-readable reason (routed into an `ErrorBody`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ApiError {
-    /// HTTP status (`422` for semantic rejections, `503` when draining).
-    pub status: u16,
-    /// What was rejected and why.
-    pub message: String,
-}
-
-impl ApiError {
-    fn unprocessable(msg: impl Into<String>) -> ApiError {
-        ApiError { status: 422, message: msg.into() }
-    }
-
-    fn draining() -> ApiError {
-        ApiError { status: 503, message: "service is draining; not accepting new work".into() }
-    }
+/// A semantic rejection of a request that decoded.
+fn unprocessable(msg: impl Into<String>) -> HttpError {
+    HttpError::new(422, msg)
 }
 
 /// Job manager configuration.
@@ -497,9 +483,9 @@ impl JobManager {
         &self.inner.capture
     }
 
-    fn create_job(&self, kind: &'static str, ctx: &RequestCtx) -> Result<Arc<Job>, ApiError> {
+    fn create_job(&self, kind: &'static str, ctx: &RequestCtx) -> Result<Arc<Job>, HttpError> {
         if self.inner.draining.load(Ordering::Acquire) {
-            return Err(ApiError::draining());
+            return Err(HttpError::new(503, "service is draining; not accepting new work"));
         }
         let id = format!("job-{}", self.inner.next_job.fetch_add(1, Ordering::Relaxed));
         let job = Job::new(id.clone(), kind, ctx.trace_hex.clone());
@@ -553,10 +539,10 @@ impl JobManager {
         &self,
         net: &ComparatorNetwork,
         ctx: &RequestCtx,
-    ) -> Result<CheckAnswer, ApiError> {
+    ) -> Result<CheckAnswer, HttpError> {
         let wires = net.wires();
         if !(1..=26).contains(&wires) {
-            return Err(ApiError::unprocessable(format!(
+            return Err(unprocessable(format!(
                 "check is exhaustive over 2^n inputs; n must be 1..=26 (got {wires})"
             )));
         }
@@ -583,8 +569,7 @@ impl JobManager {
 
         if !leading {
             snet_obs::counter("jobs.coalesced", 1);
-            let (body, job, trace) =
-                flight.wait().map_err(|e| ApiError { status: 500, message: e })?;
+            let (body, job, trace) = flight.wait().map_err(|e| HttpError::new(500, e))?;
             return Ok(CheckAnswer { cache: CacheState::Coalesced, body, job, hash, trace });
         }
 
@@ -611,7 +596,7 @@ impl JobManager {
         };
         self.inner.in_flight.lock().expect("in-flight map poisoned").remove(&hash);
         flight.fill(outcome.clone());
-        let (body, job, trace) = outcome.map_err(|e| ApiError { status: 500, message: e })?;
+        let (body, job, trace) = outcome.map_err(|e| HttpError::new(500, e))?;
         Ok(CheckAnswer { cache: CacheState::Miss, body, job, hash, trace })
     }
 
@@ -674,7 +659,7 @@ impl JobManager {
         &self,
         req: &SearchRequest,
         ctx: &RequestCtx,
-    ) -> Result<Arc<Job>, ApiError> {
+    ) -> Result<Arc<Job>, HttpError> {
         let cfg = self.validate_search(req)?;
         let job = self.create_job("search", ctx)?;
         let mgr = self.clone();
@@ -684,30 +669,28 @@ impl JobManager {
             std::thread::Builder::new()
                 .name(format!("snetd-{}", job.id))
                 .spawn(move || mgr.run_search_job(&job, cfg, &ctx))
-                .map_err(|e| ApiError { status: 500, message: format!("cannot spawn job: {e}") })?
+                .map_err(|e| HttpError::new(500, format!("cannot spawn job: {e}")))?
         };
         job.record.lock().expect("job record poisoned").handle = Some(handle);
         Ok(job)
     }
 
-    fn validate_search(&self, req: &SearchRequest) -> Result<SearchConfig, ApiError> {
+    fn validate_search(&self, req: &SearchRequest) -> Result<SearchConfig, HttpError> {
         let n = req.n as usize;
         if !(2..=16).contains(&n) {
-            return Err(ApiError::unprocessable(format!("search supports n 2..=16 (got {n})")));
+            return Err(unprocessable(format!("search supports n 2..=16 (got {n})")));
         }
         let mode = match req.mode.as_str() {
             "unrestricted" => SearchMode::Unrestricted,
             "shuffle-legal" => SearchMode::ShuffleLegal,
             other => {
-                return Err(ApiError::unprocessable(format!(
+                return Err(unprocessable(format!(
                     "mode must be one of: unrestricted, shuffle-legal (got {other:?})"
                 )))
             }
         };
         if mode == SearchMode::ShuffleLegal && !n.is_power_of_two() {
-            return Err(ApiError::unprocessable(format!(
-                "shuffle-legal search needs n = 2^l (got {n})"
-            )));
+            return Err(unprocessable(format!("shuffle-legal search needs n = 2^l (got {n})")));
         }
         let mut cfg = SearchConfig::new(n, mode);
         // The engine asserts max_depth >= floor; turn that into a 422
@@ -720,7 +703,7 @@ impl JobManager {
         if let Some(d) = req.max_depth {
             let d = d as usize;
             if d < floor {
-                return Err(ApiError::unprocessable(format!(
+                return Err(unprocessable(format!(
                     "max_depth {d} is below the admissible floor {floor} for n={n}"
                 )));
             }
@@ -793,21 +776,21 @@ impl JobManager {
         &self,
         req: &AdversaryRequest,
         ctx: &RequestCtx,
-    ) -> Result<CheckAnswer, ApiError> {
+    ) -> Result<CheckAnswer, HttpError> {
         let n = req.n as usize;
         if !(2..=1024).contains(&n) {
-            return Err(ApiError::unprocessable(format!(
+            return Err(unprocessable(format!(
                 "adversary networks need n = 2^l in 2..=1024 (got {n})"
             )));
         }
         if req.stages.is_empty() {
-            return Err(ApiError::unprocessable("adversary needs at least one stage"));
+            return Err(unprocessable("adversary needs at least one stage"));
         }
-        let shuffle = snet_topology::ShuffleNetwork::try_new(n, req.stages.clone())
-            .map_err(ApiError::unprocessable)?;
+        let shuffle =
+            snet_topology::ShuffleNetwork::try_new(n, req.stages.clone()).map_err(unprocessable)?;
         let l = n.trailing_zeros() as usize;
         let k = req.k.map(|k| k as usize).unwrap_or(l);
-        snet_adversary::check_k(k, l).map_err(ApiError::unprocessable)?;
+        snet_adversary::check_k(k, l).map_err(unprocessable)?;
         // The direct lowering hashes like the iterated reverse delta form
         // (pinned in e2e_canonical_hash.rs), which only a miss builds.
         let net = {
@@ -825,9 +808,9 @@ impl JobManager {
             shuffle.to_iterated_reverse_delta()
         };
         let (run, witness) = verdicts::compute_witness(self.store(), &net, &hash, k, ird, canon)
-            .map_err(|message| ApiError { status: 500, message })?;
+            .map_err(|e| HttpError::new(500, e))?;
         let Some(served) = witness else {
-            return Err(ApiError::unprocessable(format!(
+            return Err(unprocessable(format!(
                 "adversary exhausted: |D| = {} after {} blocks — no witness at this depth \
                  (the network may sort)",
                 run.d_set.len(),

@@ -42,7 +42,7 @@ pub mod server;
 pub mod telemetry;
 pub mod verdicts;
 
-pub use http::Limits;
-pub use jobs::{ApiError, CheckAnswer, FramePoll, Job, JobManager, JobsConfig};
+pub use http::{HttpError, Limits};
+pub use jobs::{CheckAnswer, FramePoll, Job, JobManager, JobsConfig};
 pub use server::{install_signal_handlers, serve, spawn, ServeConfig, ServerHandle, SERVE_FLAGS};
 pub use telemetry::{RequestCtx, LINK_HEADER};

@@ -35,7 +35,7 @@
 use crate::http::{
     read_request, write_response, ChunkedWriter, HttpError, Limits, ReadOutcome, Request,
 };
-use crate::jobs::{ApiError, CheckAnswer, FramePoll, Job, JobManager, JobsConfig};
+use crate::jobs::{CheckAnswer, FramePoll, Job, JobManager, JobsConfig};
 use crate::telemetry::{
     self, AccessLog, RequestCtx, RequestEntry, RequestRing, RequestTrace, TraceStore, LINK_HEADER,
 };
@@ -570,11 +570,6 @@ fn respond_error(w: &mut impl Write, meta: &mut ReqMeta, e: &HttpError) {
     respond(w, meta, e.status, JSON, body.as_bytes(), &[]);
 }
 
-fn respond_api_error(w: &mut impl Write, meta: &mut ReqMeta, e: &ApiError) {
-    let body = ErrorBody::new(&e.message).to_json();
-    respond(w, meta, e.status, JSON, body.as_bytes(), &[]);
-}
-
 // ---------------------------------------------------------------------------
 // Routing
 // ---------------------------------------------------------------------------
@@ -612,8 +607,7 @@ fn handle_request(
                     respond(w, meta, 200, NDJSON, body.as_bytes(), &[]);
                 }
                 None => {
-                    let body = ErrorBody::new(format!("no stored trace {id:?}")).to_json();
-                    respond(w, meta, 404, JSON, body.as_bytes(), &[]);
+                    respond_error(w, meta, &HttpError::new(404, format!("no stored trace {id:?}")))
                 }
             }
         }
@@ -629,28 +623,25 @@ fn handle_request(
             match method {
                 "GET" => handle_job_get(w, id, manager, meta),
                 "DELETE" => handle_job_delete(w, id, manager, meta),
-                _ => method_not_allowed(w, meta),
+                _ => respond_error(w, meta, &method_not_allowed()),
             }
         }
         ("GET" | "POST" | "DELETE", _) => {
-            let body = ErrorBody::new(format!("no route for {path}")).to_json();
-            respond(w, meta, 404, JSON, body.as_bytes(), &[]);
+            respond_error(w, meta, &HttpError::new(404, format!("no route for {path}")))
         }
-        _ => method_not_allowed(w, meta),
+        _ => respond_error(w, meta, &method_not_allowed()),
     }
 }
 
-fn method_not_allowed(w: &mut impl Write, meta: &mut ReqMeta) {
-    let body = ErrorBody::new("method not allowed").to_json();
-    respond(w, meta, 405, JSON, body.as_bytes(), &[]);
+fn method_not_allowed() -> HttpError {
+    HttpError::new(405, "method not allowed")
 }
 
 fn parse_body<T: serde::Deserialize>(req: &Request) -> Result<T, HttpError> {
     let _span = snet_obs::span("api.parse").attr("bytes", req.body.len());
-    let text = std::str::from_utf8(&req.body)
-        .map_err(|_| HttpError { status: 400, message: "body is not UTF-8".into() })?;
-    serde_json::from_str(text)
-        .map_err(|e| HttpError { status: 422, message: format!("cannot parse body: {e}") })
+    let text =
+        std::str::from_utf8(&req.body).map_err(|_| HttpError::new(400, "body is not UTF-8"))?;
+    serde_json::from_str(text).map_err(|e| HttpError::new(422, format!("cannot parse body: {e}")))
 }
 
 /// Answers a check with the verdict bytes **verbatim** — a warm hit
@@ -694,13 +685,10 @@ fn handle_verdict<T: serde::Deserialize>(
     req: &Request,
     ctx: &RequestCtx,
     meta: &mut ReqMeta,
-    answer: impl FnOnce(&T) -> Result<CheckAnswer, ApiError>,
+    answer: impl FnOnce(&T) -> Result<CheckAnswer, HttpError>,
 ) {
-    match parse_body(req) {
-        Ok(parsed) => match answer(&parsed) {
-            Ok(answer) => answer_with_verdict(w, ctx, meta, &answer),
-            Err(e) => respond_api_error(w, meta, &e),
-        },
+    match parse_body(req).and_then(|parsed| answer(&parsed)) {
+        Ok(answer) => answer_with_verdict(w, ctx, meta, &answer),
         Err(e) => respond_error(w, meta, &e),
     }
 }
@@ -716,13 +704,10 @@ fn handle_search(
     ctx: &RequestCtx,
     meta: &mut ReqMeta,
 ) {
-    let parsed: SearchRequest = match parse_body(req) {
-        Ok(p) => p,
-        Err(e) => return respond_error(w, meta, &e),
-    };
-    let job: Arc<Job> = match manager.submit_search(&parsed, ctx) {
+    let submitted = parse_body(req).and_then(|p: SearchRequest| manager.submit_search(&p, ctx));
+    let job: Arc<Job> = match submitted {
         Ok(j) => j,
-        Err(e) => return respond_api_error(w, meta, &e),
+        Err(e) => return respond_error(w, meta, &e),
     };
     meta.record.job = Some(job.id.clone());
     let mut extra: Vec<(&str, &str)> = vec![("x-snet-job", job.id.as_str())];
@@ -761,10 +746,7 @@ fn handle_job_get(w: &mut impl Write, id: &str, manager: &JobManager, meta: &mut
             let body = job.status().to_json();
             respond(w, meta, 200, JSON, body.as_bytes(), &[]);
         }
-        None => {
-            let body = ErrorBody::new(format!("unknown job {id:?}")).to_json();
-            respond(w, meta, 404, JSON, body.as_bytes(), &[]);
-        }
+        None => respond_error(w, meta, &unknown_job(id)),
     }
 }
 
@@ -774,9 +756,12 @@ fn handle_job_delete(w: &mut impl Write, id: &str, manager: &JobManager, meta: &
         let body = serde_json::to_string(&doc).expect("a value tree always serializes");
         respond(w, meta, 200, JSON, body.as_bytes(), &[]);
     } else {
-        let body = ErrorBody::new(format!("unknown job {id:?}")).to_json();
-        respond(w, meta, 404, JSON, body.as_bytes(), &[]);
+        respond_error(w, meta, &unknown_job(id));
     }
+}
+
+fn unknown_job(id: &str) -> HttpError {
+    HttpError::new(404, format!("unknown job {id:?}"))
 }
 
 #[cfg(test)]

@@ -372,6 +372,35 @@ fn deeply_nested_bodies_are_a_422_not_a_dead_daemon() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// A network body's `n` sizes nothing before the check's range test: past
+/// `u64` it does not decode, and huge but finite it is out of range.
+/// Neither panics a connection worker nor aborts the daemon.
+#[test]
+fn huge_wire_counts_are_a_422_not_a_dead_daemon() {
+    let (handle, addr, root) = daemon("huge-n");
+    let body = |n: &str| {
+        format!(
+            r#"{{"network":{{"n":{n},"levels":[{{"route":null,"elements":[{{"a":0,"b":1,"kind":"Cmp"}}]}}]}}}}"#
+        )
+    };
+    let cases = [
+        ("18446744073709551616", "field `n`: expected unsigned integer, found number"),
+        ("18446744073709549568", "n must be 1..=26 (got 18446744073709549568)"),
+        ("1e12", "n must be 1..=26 (got 1000000000000)"),
+    ];
+    for (n, says) in cases {
+        for _ in 0..ServeConfig::default().conn_threads + 1 {
+            let r = client::request(&addr, "POST", "/v1/check", Some(body(n).as_bytes())).unwrap();
+            assert_eq!(r.status, 422, "{}", r.text());
+            assert!(r.text().contains(says), "{}", r.text());
+        }
+    }
+    let r = client::request(&addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(r.status, 200);
+    handle.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 /// A deterministic client-side trace header: distinct per `i`, valid
 /// per the `x-snet-trace` grammar.
 fn trace_header_for(i: u64) -> (String, String) {
@@ -533,10 +562,20 @@ fn traced_search_stamps_frames_and_lands_in_debug_ring_and_trace_store() {
     assert_eq!(status.state, JobState::Done);
 
     // The finished request is visible in the tracez-style ring with its
-    // trace id, endpoint, status, and latency.
-    let debug = client::request(&addr, "GET", "/v1/debug/requests", None).unwrap();
-    assert_eq!(debug.status, 200);
-    let text = debug.text();
+    // trace id, endpoint, status, and latency. The server moves it there
+    // after the client has read the stream's terminator, so poll briefly.
+    let mut text = String::new();
+    for _ in 0..50 {
+        let debug = client::request(&addr, "GET", "/v1/debug/requests", None).unwrap();
+        assert_eq!(debug.status, 200);
+        text = debug.text();
+        let ring: Value = serde_json::from_str(&text).expect("the ring is JSON");
+        let recent = ring.get("recent").and_then(Value::as_array).unwrap_or_default();
+        if recent.iter().any(|e| e.get("trace").and_then(Value::as_str) == Some(trace.as_str())) {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(100));
+    }
     assert!(text.contains(&format!("\"trace\":\"{trace}\"")), "ring lists the trace: {text}");
     assert!(text.contains("\"endpoint\":\"/v1/search\""), "ring names the endpoint: {text}");
     assert!(text.contains("\"dur_us\":"), "ring reports latency: {text}");

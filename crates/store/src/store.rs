@@ -55,6 +55,7 @@
 //! process opens its store once and clones the handle to every worker,
 //! so all of them stamp one generation.
 
+use serde::Deserialize;
 use snet_core::ir::CanonicalHash;
 use snet_core::verdict::Verdict;
 use std::io::{self, BufRead, Read, Write};
@@ -418,30 +419,28 @@ fn parse_entry<'a>(
     Ok((header, payload))
 }
 
+/// An entry's header line as written: any key order, the first of
+/// repeated keys counts, and other keys are skipped.
+#[derive(Deserialize)]
+struct HeaderLine {
+    schema: String,
+    hash: String,
+    kind: String,
+    generation: u64,
+    len: u64,
+    checksum: String,
+}
+
 fn parse_header(text: &str) -> Result<EntryHeader, String> {
-    let v: serde_json::Value =
-        serde_json::from_str(text).map_err(|e| format!("header is not JSON: {e}"))?;
-    let get = |k: &str| {
-        v.as_object()
-            .and_then(|o| o.iter().find(|(key, _)| key == k).map(|(_, val)| val))
-            .ok_or_else(|| format!("header missing `{k}`"))
-    };
-    let schema = get("schema")?.as_str().ok_or("schema not a string")?;
-    if schema != ENTRY_SCHEMA {
-        return Err(format!("unrecognized entry schema {schema:?}"));
+    let line: HeaderLine =
+        serde_json::from_str(text).map_err(|e| format!("malformed header: {e}"))?;
+    if line.schema != ENTRY_SCHEMA {
+        return Err(format!("unrecognized entry schema {:?}", line.schema));
     }
-    let hash_hex = get("hash")?.as_str().ok_or("hash not a string")?;
-    let hash = CanonicalHash::from_hex(hash_hex).ok_or("malformed hash")?;
-    let checksum_hex = get("checksum")?.as_str().ok_or("checksum not a string")?;
+    let hash = CanonicalHash::from_hex(&line.hash).ok_or("malformed hash")?;
     let checksum =
-        u64::from_str_radix(checksum_hex, 16).map_err(|_| "malformed checksum".to_string())?;
-    Ok(EntryHeader {
-        hash,
-        kind: get("kind")?.as_str().ok_or("kind not a string")?.to_string(),
-        generation: get("generation")?.as_u64().ok_or("generation not an integer")?,
-        len: get("len")?.as_u64().ok_or("len not an integer")?,
-        checksum,
-    })
+        u64::from_str_radix(&line.checksum, 16).map_err(|_| "malformed checksum".to_string())?;
+    Ok(EntryHeader { hash, kind: line.kind, generation: line.generation, len: line.len, checksum })
 }
 
 /// Reads just the header line of an entry file and checks the payload
@@ -564,26 +563,24 @@ enum MetaError {
     Corrupt,
 }
 
+/// `store.meta.json` as written.
+#[derive(Deserialize)]
+struct MetaFile {
+    schema: String,
+    generation: u64,
+}
+
 fn read_meta_generation(path: &Path) -> Result<u64, MetaError> {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Err(MetaError::Missing),
         Err(_) => return Err(MetaError::Corrupt),
     };
-    let v: serde_json::Value = serde_json::from_str(text.trim()).map_err(|_| MetaError::Corrupt)?;
-    let obj = v.as_object().ok_or(MetaError::Corrupt)?;
-    let schema = obj
-        .iter()
-        .find(|(k, _)| k == "schema")
-        .and_then(|(_, v)| v.as_str())
-        .ok_or(MetaError::Corrupt)?;
-    if schema != META_SCHEMA {
+    let meta: MetaFile = serde_json::from_str(text.trim()).map_err(|_| MetaError::Corrupt)?;
+    if meta.schema != META_SCHEMA {
         return Err(MetaError::Corrupt);
     }
-    obj.iter()
-        .find(|(k, _)| k == "generation")
-        .and_then(|(_, v)| v.as_u64())
-        .ok_or(MetaError::Corrupt)
+    Ok(meta.generation)
 }
 
 /// Moves `path` into `<root>/quarantine/`, keeping the filename and

@@ -5,8 +5,10 @@
 //!
 //! * `from_str` never panics on arbitrary text, as a bare `Value` or as
 //!   any of the three request bodies snetd accepts (`CheckRequest`,
-//!   `AdversaryRequest`, `SearchRequest`) or a `Verdict`, including
-//!   near-miss mutations of valid bodies;
+//!   `AdversaryRequest`, `SearchRequest`), a `Verdict`, the job documents
+//!   clients read (`JobStatus`, `ProgressFrame`), the proof documents
+//!   (`IteratedReverseDelta`, `SortingRefutation`) or a trace `Event` or
+//!   `Baseline`, including near-miss mutations of valid bodies;
 //! * decoding a body from its text and from its `Value` tree agree: the
 //!   same value, or the same error (malformed text fails both);
 //! * random `Value` trees round-trip through `to_string` and
@@ -18,12 +20,19 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestRng;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde_json::{Number, Value};
+use snet_adversary::SortingRefutation;
 use snet_core::api::{AdversaryRequest, CheckRequest, SearchRequest};
+use snet_core::api::{FrameKind, JobState, JobStatus, ProgressFrame, API_SCHEMA};
 use snet_core::element::{Element, ElementKind};
 use snet_core::ir::CanonicalHash;
 use snet_core::network::{ComparatorNetwork, Level};
 use snet_core::verdict::{Verdict, VerdictKind};
+use snet_obs::{Baseline, Event, EventKind};
+use snet_topology::random::{random_iterated, RandomDeltaConfig};
+use snet_topology::IteratedReverseDelta;
 use std::fmt::Debug;
 
 /// Characters a string or a broken document is made of: JSON syntax,
@@ -108,15 +117,15 @@ impl Strategy for Values {
     }
 }
 
-/// Valid bodies of each request kind and verdicts, then mangled:
-/// truncated, spliced with syntax, or with a range deleted (always on
-/// `char` boundaries).
+/// Valid bodies of each request kind, verdicts, job and proof documents,
+/// events and baselines, then mangled: truncated, spliced with syntax, or
+/// with a range deleted (always on `char` boundaries).
 struct Bodies;
 
 impl Bodies {
     fn valid(rng: &mut TestRng) -> String {
         let kinds = [ElementKind::Cmp, ElementKind::CmpRev, ElementKind::Pass, ElementKind::Swap];
-        match rng.below(4) {
+        match rng.below(10) {
             0 => {
                 let level = Level::of_elements(vec![Element::cmp(0, 1), Element::cmp_rev(2, 3)]);
                 let network = ComparatorNetwork::new(4, vec![level]).unwrap();
@@ -135,6 +144,51 @@ impl Bodies {
                 let max_depth = (rng.below(2) == 1).then(|| rng.below(9) as u32);
                 let req = SearchRequest { n: rng.below(20) as u32, mode, max_depth, threads: None };
                 serde_json::to_string(&req).unwrap()
+            }
+            4 => Self::job_status(rng).to_json(),
+            5 => Self::progress_frame(rng).to_json_line(),
+            6 => {
+                let mut seeded = StdRng::seed_from_u64(rng.next_u64());
+                let (k, l) = (1 + rng.below(2) as usize, 1 + rng.below(3) as usize);
+                let ird = random_iterated(k, l, &RandomDeltaConfig::default(), true, &mut seeded);
+                serde_json::to_string(&ird).unwrap()
+            }
+            7 => {
+                let r = SortingRefutation {
+                    input_a: vec![0, 2, 1, 3],
+                    input_b: vec![0, 1, 2, 3],
+                    m: 1,
+                    wire_pair: (1, 2),
+                    output_a: vec![0, 2, 1, 3],
+                    output_b: vec![0, 1, 2, 3],
+                };
+                serde_json::to_string(&r).unwrap()
+            }
+            8 => {
+                let ev = Event {
+                    kind: [EventKind::SpanEnd, EventKind::Counter][rng.below(2) as usize],
+                    name: "check.zero_one".into(),
+                    id: rng.below(9),
+                    parent: 1,
+                    thread: 0,
+                    t_us: rng.next_u64() >> 20,
+                    dur_us: rng.below(3),
+                    value: [0.0, 1.5, 7.0][rng.below(3) as usize],
+                    attrs: vec![("wires".into(), "16".into()), ("note".into(), "a \"b\"".into())],
+                };
+                ev.to_json_line()
+            }
+            9 => {
+                let b = Baseline {
+                    schema: "snet-bench-baseline/1".into(),
+                    name: "search_n6".into(),
+                    manifest: vec![
+                        ("tool".into(), "baselines".into()),
+                        ("threads".into(), "1".into()),
+                    ],
+                    metrics: [("nodes".to_string(), 6.0), ("wall_ms".to_string(), 1.25)].into(),
+                };
+                b.to_json()
             }
             _ => {
                 let n = 1 + rng.below(4) as u32;
@@ -157,6 +211,28 @@ impl Bodies {
                 Verdict::with_kind(CanonicalHash::of_label("e2e_api_json"), n, kind).to_json()
             }
         }
+    }
+
+    fn job_status(rng: &mut TestRng) -> JobStatus {
+        let result = serde_json::from_str(r#"{"optimal_depth":3,"nodes":[1,2]}"#).unwrap();
+        JobStatus {
+            schema: API_SCHEMA.into(),
+            id: format!("job-{}", rng.below(100)),
+            kind: "search".into(),
+            state: [JobState::Running, JobState::Done, JobState::Failed][rng.below(3) as usize],
+            error: (rng.below(2) == 1).then(|| "mode must be one of: unrestricted".into()),
+            result: (rng.below(2) == 1).then_some(result),
+        }
+    }
+
+    fn progress_frame(rng: &mut TestRng) -> ProgressFrame {
+        let kind = match rng.below(3) {
+            0 => FrameKind::Lifecycle { state: JobState::Queued },
+            1 => FrameKind::Event { name: "search.rounds".into(), value: rng.below(50) },
+            _ => FrameKind::Log { message: "round 3: depth 5 refuted".into() },
+        };
+        let trace = (rng.below(2) == 1).then(|| "deadbeef0000000000000000cafef00d".into());
+        ProgressFrame { job: "job-0".into(), seq: rng.below(9), trace, kind }
     }
 
     fn boundary(s: &str, rng: &mut TestRng) -> usize {
@@ -220,11 +296,19 @@ fn parse_all(text: &str) -> Result<(), String> {
     run("CheckRequest", &|| text_and_tree::<CheckRequest>(text, from_str, from_value))?;
     run("AdversaryRequest", &|| text_and_tree::<AdversaryRequest>(text, from_str, from_value))?;
     run("SearchRequest", &|| text_and_tree::<SearchRequest>(text, from_str, from_value))?;
-    run("Verdict", &|| text_and_tree::<Verdict>(text, from_str, from_value))
+    run("Verdict", &|| text_and_tree::<Verdict>(text, from_str, from_value))?;
+    run("JobStatus", &|| text_and_tree::<JobStatus>(text, from_str, from_value))?;
+    run("ProgressFrame", &|| text_and_tree::<ProgressFrame>(text, from_str, from_value))?;
+    run("IteratedReverseDelta", &|| {
+        text_and_tree::<IteratedReverseDelta>(text, from_str, from_value)
+    })?;
+    run("SortingRefutation", &|| text_and_tree::<SortingRefutation>(text, from_str, from_value))?;
+    run("Event", &|| text_and_tree::<Event>(text, from_str, from_value))?;
+    run("Baseline", &|| text_and_tree::<Baseline>(text, from_str, from_value))
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 2000, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 5000, ..ProptestConfig::default() })]
 
     #[test]
     fn from_str_never_panics_on_arbitrary_text(
