@@ -30,7 +30,7 @@ pub const STEP_VIOLATION: i32 = 9;
 /// quarantined; verdict paths treat the same condition as a cache miss
 /// and recompute instead of exiting).
 pub const STORE_CORRUPT: i32 = 10;
-/// `serve` (and the `snet-snetd` binary): the daemon could not start —
+/// `serve`: the daemon could not start —
 /// bind failure, bad flags, unopenable store — or the accept loop died.
 pub const DAEMON_FAILED: i32 = 11;
 

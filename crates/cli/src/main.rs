@@ -185,7 +185,7 @@ fn print_usage() {
          \x20 gen     --kind <bitonic|odd-even|pratt|periodic|brick|random-shuffle|randomized> \
          --n N [--depth D] [--seed S] -o FILE\n\
          \x20 info    FILE                     print wires/depth/size\n\
-         \x20 check   FILE [--exhaustive [--threads W]] [--trials T] [--seed S] [--no-passes]\n\
+         \x20 check   FILE [--exhaustive [--threads W]] [--trials T] [--seed S]\n\
          \x20         [--verdict-out FILE]   with --exhaustive and a store, the verdict is\n\
          \x20         cached by canonical hash and replayed byte-identically on later runs\n\
          \x20 refute  FILE [-o WITNESS] [--k K] [--explain]   (shuffle networks only)\n\
@@ -400,16 +400,12 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         "check",
         args,
         1,
-        &["--exhaustive", "--no-passes", "--no-store"],
+        &["--exhaustive", "--no-store"],
         &["--threads", "--trials", "--seed", "--verdict-out", "--store"],
     )?;
     let path = *files.first().ok_or("check requires FILE")?;
     let doc = NetworkFile::load(path)?;
     let net = doc.to_network();
-    // `--no-passes` runs the IR without the canonical pipeline: the raw
-    // program still carries routes and Pass/Swap ops, exercising the
-    // generic (routed) backend instead of the flat fast path.
-    let no_passes = has_flag(args, "--no-passes");
     if has_flag(args, "--exhaustive") {
         if net.wires() > 28 {
             return Err(format!("exhaustive 0-1 check infeasible for n = {}", net.wires()));
@@ -419,17 +415,14 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
             None => default_engine_threads(),
         };
         let store = resolve_store(args)?;
-        // The canonical hash is the cache key, whatever the passes: the
-        // raw (`--no-passes`) and canonical compilations of one circuit
-        // share an address — and the same exhaustive verdict. A miss
-        // otherwise runs the canonical program the hash came from.
+        // The canonical hash is the cache key; a miss runs the canonical
+        // program the hash came from.
         let canon = Canonical::of_network(&net);
         let hash = canon.hash();
         let (served, hit) = match verdicts::lookup_check(store.as_ref(), &net, &hash) {
             Some(served) => (served, true),
             None => {
-                let exec =
-                    if no_passes { Executor::compile_raw(&net) } else { canon.into_executor() };
+                let exec = canon.into_executor();
                 let computed = verdicts::compute_check(store.as_ref(), &net, &hash, &exec, threads);
                 (stored(computed)?, false)
             }
@@ -471,27 +464,10 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     if flag(args, "--verdict-out").is_some() {
         return Err("--verdict-out requires --exhaustive (random trials are not canonical)".into());
     }
-    let result = {
-        let trials: u64 = parse(flag(args, "--trials").unwrap_or("10000"), "--trials")?;
-        let seed: u64 = parse(flag(args, "--seed").unwrap_or("0"), "--seed")?;
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        if no_passes {
-            let exec = Executor::compile_raw(&net);
-            let mut found = None;
-            for _ in 0..trials {
-                let input: Vec<u32> = Permutation::random(net.wires(), &mut rng).images().to_vec();
-                let output = exec.evaluate(&input);
-                if !is_sorted(&output) {
-                    found = Some(snet_core::sortcheck::SortCheck::Counterexample { input, output });
-                    break;
-                }
-            }
-            found.unwrap_or(snet_core::sortcheck::SortCheck::AllSorted { tested: trials })
-        } else {
-            check_random_permutations(&net, trials, &mut rng)
-        }
-    };
-    match result {
+    let trials: u64 = parse(flag(args, "--trials").unwrap_or("10000"), "--trials")?;
+    let seed: u64 = parse(flag(args, "--seed").unwrap_or("0"), "--seed")?;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    match check_random_permutations(&net, trials, &mut rng) {
         snet_core::sortcheck::SortCheck::AllSorted { tested } => {
             println!("sorted all {tested} tested inputs");
             Ok(())
@@ -1009,9 +985,9 @@ fn cmd_metrics(args: &[String]) -> Result<(), String> {
     }
 }
 
-/// `serve FLAGS` — runs the snetd verification service in-process (the
-/// same engine and the same flag parser, [`snet_service::ServeConfig::from_args`],
-/// as the standalone `snet-snetd` binary). `--store` (or `$SNET_STORE`)
+/// `serve FLAGS` — runs the snetd verification service in-process, its
+/// flags parsed by [`snet_service::ServeConfig::from_args`], which reads
+/// exactly those the usage lists. `--store` (or `$SNET_STORE`)
 /// makes repeat queries warm store hits; SIGTERM/SIGINT drain
 /// gracefully: running jobs are cancelled, search TT spills land in the
 /// store, and buffered telemetry flushes. Exits 11 on a bad flag or if

@@ -110,7 +110,7 @@ fn check_rejects_flags_it_does_not_read() {
     }
     assert!(!std::path::Path::new(&unwritten).exists(), "no command wrote its output");
     assert!(!std::path::Path::new(&store).exists(), "no command opened the store");
-    let out = snetctl(&["check", &f, "--exhaustive", "--threads", "1", "--no-passes"]);
+    let out = snetctl(&["check", &f, "--exhaustive", "--threads", "1", "--no-store"]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
@@ -1133,16 +1133,13 @@ impl Drop for Daemon {
     }
 }
 
-/// `snetctl serve` and `snet-snetd` parse the daemon flags with one
-/// parser, so every row of one flag table gets the same answer from
-/// both: bad rows exit 11 without serving, good rows serve with the
-/// options applied.
+/// `snetctl serve`, the one daemon entry point, answers every row of
+/// its flag table: bad rows exit 11 without serving, good rows serve
+/// with the options applied.
 #[test]
-fn both_daemon_entry_points_share_one_flag_table() {
+fn serve_answers_every_row_of_its_flag_table() {
     use std::io::{BufRead, BufReader};
     use std::process::Stdio;
-    let snetd = std::path::Path::new(env!("CARGO_BIN_EXE_snetctl")).with_file_name("snet-snetd");
-    assert!(snetd.exists(), "{} is built with the workspace's binaries", snetd.display());
     let rejected: &[&[&str]] = &[
         &["--bogus"],
         &["--addr"],
@@ -1151,77 +1148,74 @@ fn both_daemon_entry_points_share_one_flag_table() {
         &["--conn-threads", "-1"],
         &["--addr", "127.0.0.1:0", "stray"],
     ];
-    let entry_points: [(&str, &[&str]); 2] =
-        [(env!("CARGO_BIN_EXE_snetctl"), &["serve"]), (snetd.to_str().unwrap(), &[])];
-    for (tag, (bin, prefix)) in entry_points.iter().enumerate() {
-        let spawn = |flags: &[&str], snet_store: &str| {
-            Daemon(
-                Command::new(bin)
-                    .env("SNET_STORE", snet_store)
-                    .args(*prefix)
-                    .args(flags)
-                    .stdout(Stdio::null())
-                    .stderr(Stdio::piped())
-                    .spawn()
-                    .unwrap(),
-            )
-        };
-        for flags in rejected {
-            let mut daemon = spawn(flags, "");
-            let mut status = None;
-            wait_for("a rejected flag to exit", || {
-                status = daemon.0.try_wait().unwrap();
-                status.is_some()
-            });
-            assert_eq!(status.unwrap().code(), Some(11), "{bin} {flags:?}");
-        }
+    let bin = env!("CARGO_BIN_EXE_snetctl");
+    let spawn = |flags: &[&str], snet_store: &str| {
+        Daemon(
+            Command::new(bin)
+                .env("SNET_STORE", snet_store)
+                .arg("serve")
+                .args(flags)
+                .stdout(Stdio::null())
+                .stderr(Stdio::piped())
+                .spawn()
+                .unwrap(),
+        )
+    };
+    for flags in rejected {
+        let mut daemon = spawn(flags, "");
+        let mut status = None;
+        wait_for("a rejected flag to exit", || {
+            status = daemon.0.try_wait().unwrap();
+            status.is_some()
+        });
+        assert_eq!(status.unwrap().code(), Some(11), "{bin} {flags:?}");
+    }
 
-        // Every flag at once, then $SNET_STORE in place of --store.
-        let dir = tmpfile(&format!("serve-flags-{tag}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let (log, store, env_store) =
-            (format!("{dir}/access.jsonl"), format!("{dir}/store"), format!("{dir}/env-store"));
-        let all_flags: Vec<&str> = vec![
-            "--addr",
-            "127.0.0.1:0",
-            "--store",
-            &store,
-            "--conn-threads",
-            "2",
-            "--max-jobs",
-            "1",
-            "--search-threads",
-            "1",
-            "--check-threads",
-            "1",
-            "--max-body-bytes",
-            "4096",
-            "--access-log",
-            &log,
-            "--slow-ms",
-            "60000",
-        ];
-        for (flags, store_dir, snet_store) in
-            [(all_flags, &store, ""), (vec!["--addr", "127.0.0.1:0"], &env_store, &env_store)]
-        {
-            let mut daemon = spawn(&flags, snet_store);
-            let stderr = BufReader::new(daemon.0.stderr.take().unwrap());
-            let addr = stderr
-                .lines()
-                .map_while(Result::ok)
-                .find_map(|l| l.strip_prefix("snetd: listening on ").map(str::to_string))
-                .unwrap_or_else(|| panic!("{bin} {flags:?} did not start"));
-            wait_for("the store to open", || std::path::Path::new(store_dir).exists());
-            if flags.len() > 2 {
-                // --max-body-bytes: an oversized body is refused.
-                assert_eq!(http_status(&addr, "POST", "/v1/check", &[b' '; 5000]), 413);
-                // --access-log: a routed request leaves one line.
-                assert_eq!(http_status(&addr, "GET", "/nope", b""), 404);
-                wait_for("the access log", || {
-                    std::fs::read_to_string(&log).is_ok_and(|t| t.contains("\"status\":404"))
-                });
-            }
+    // Every flag at once, then $SNET_STORE in place of --store.
+    let dir = tmpfile("serve-flags");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (log, store, env_store) =
+        (format!("{dir}/access.jsonl"), format!("{dir}/store"), format!("{dir}/env-store"));
+    let all_flags: Vec<&str> = vec![
+        "--addr",
+        "127.0.0.1:0",
+        "--store",
+        &store,
+        "--conn-threads",
+        "2",
+        "--max-jobs",
+        "1",
+        "--search-threads",
+        "1",
+        "--check-threads",
+        "1",
+        "--max-body-bytes",
+        "4096",
+        "--access-log",
+        &log,
+        "--slow-ms",
+        "60000",
+    ];
+    for (flags, store_dir, snet_store) in
+        [(all_flags, &store, ""), (vec!["--addr", "127.0.0.1:0"], &env_store, &env_store)]
+    {
+        let mut daemon = spawn(&flags, snet_store);
+        let stderr = BufReader::new(daemon.0.stderr.take().unwrap());
+        let addr = stderr
+            .lines()
+            .map_while(Result::ok)
+            .find_map(|l| l.strip_prefix("snetd: listening on ").map(str::to_string))
+            .unwrap_or_else(|| panic!("{bin} {flags:?} did not start"));
+        wait_for("the store to open", || std::path::Path::new(store_dir).exists());
+        if flags.len() > 2 {
+            // --max-body-bytes: an oversized body is refused.
+            assert_eq!(http_status(&addr, "POST", "/v1/check", &[b' '; 5000]), 413);
+            // --access-log: a routed request leaves one line.
+            assert_eq!(http_status(&addr, "GET", "/nope", b""), 404);
+            wait_for("the access log", || {
+                std::fs::read_to_string(&log).is_ok_and(|t| t.contains("\"status\":404"))
+            });
         }
     }
 }

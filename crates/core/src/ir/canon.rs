@@ -1,15 +1,14 @@
 //! Stable content addressing for comparator networks: [`CanonicalHash`].
 //!
 //! The hash is computed over the *canonical form* of a program — the
-//! fixpoint of the canonical pass pipeline
-//! ([`AbsorbRoutes`](super::AbsorbRoutes) /
-//! [`NormalizeCmpRev`](super::NormalizeCmpRev) /
+//! route-free lowering run to the fixpoint of the canonical pass pipeline
+//! ([`NormalizeCmpRev`](super::NormalizeCmpRev) /
 //! [`StripPassSwap`](super::StripPassSwap)) — so every presentation of
 //! the same circuit addresses the same artifact:
 //!
-//! * any legal ordering of the canonical passes converges to the same
-//!   slot program (data never moves, it is only relabeled, and slot `i`
-//!   holds input wire `i` at entry in every ordering);
+//! * either ordering of the canonical passes converges to the same slot
+//!   program (data never moves, it is only relabeled, and slot `i` holds
+//!   input wire `i` at entry in every ordering);
 //! * comparators within a level are slot-disjoint, so the encoder sorts
 //!   them — relabelings within a level's orbit (listing order, `Cmp` ↔
 //!   reversed `CmpRev`, inserted `Pass`/`Swap` no-ops) hash identically;
@@ -116,7 +115,6 @@ impl CanonicalHash {
 
     /// Encodes and digests a program that is already in canonical form.
     fn of_canonical_program(prog: &Program) -> CanonicalHash {
-        debug_assert!(!prog.has_routes(), "canonical pipeline absorbs routes");
         let mut h = Sha256::new();
         h.update(CANON_DOMAIN);
         h.update(&(prog.wires() as u64).to_le_bytes());
@@ -124,8 +122,8 @@ impl CanonicalHash {
         // Per-level comparator pairs, sorted within the level. Slots in a
         // level are disjoint, so sorting by the first slot is a total
         // order and erases the listing-order freedom. Empty levels are
-        // skipped entirely (they carry no semantics once routes are
-        // absorbed), which compacts the level numbering.
+        // skipped entirely (lowering absorbed their routes, so they carry
+        // no semantics), which compacts the level numbering.
         let ops = prog.ops();
         let level_of = prog.level_of();
         let mut i = 0usize;
@@ -148,8 +146,8 @@ impl CanonicalHash {
             }
         }
 
-        // The final gather. Identity for circuit-model networks without
-        // trailing routes, but in general part of the function computed.
+        // The final gather. Identity for networks without routes or
+        // `Swap`s, but in general part of the function computed.
         h.update(&[0xFE]);
         for &w in prog.output_map() {
             h.update(&w.to_le_bytes());

@@ -18,7 +18,7 @@ use crate::zeroone::ZeroOneSet;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Parses an `SNET_THREADS`-style override. Only a trimmed positive
 /// integer is accepted: `None`, empty, non-numeric, and `0` all yield
@@ -37,92 +37,42 @@ pub fn default_engine_threads() -> usize {
         .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
 }
 
-/// A progress snapshot from [`Executor::check_zero_one_with`]: how much
-/// of the `2ⁿ` input space has been covered so far.
-#[derive(Debug, Clone, Copy)]
-pub struct CheckProgress {
-    /// Inputs covered so far: scanned, or stood for by the checked part
-    /// of the first level's image. Monotone and at most `total`; reaches
-    /// it when the network sorts, and may stop short when a
-    /// counterexample ends the check early.
-    pub done: u64,
-    /// Total input count (`2ⁿ`).
-    pub total: u64,
-    /// Wall time since the check started.
-    pub elapsed: Duration,
-}
-
-impl CheckProgress {
-    /// Completed fraction in `[0, 1]`.
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            1.0
-        } else {
-            self.done as f64 / self.total as f64
-        }
-    }
-
-    /// Scan throughput in inputs per second (0 until time has elapsed).
-    pub fn per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs > 0.0 {
-            self.done as f64 / secs
-        } else {
-            0.0
-        }
-    }
-
-    /// Estimated seconds to completion at the current throughput
-    /// (`None` before any throughput is measurable).
-    pub fn eta_secs(&self) -> Option<f64> {
-        let rate = self.per_sec();
-        if rate > 0.0 {
-            Some((self.total - self.done.min(self.total)) as f64 / rate)
-        } else {
-            None
-        }
-    }
-}
-
 /// Shared progress state for one exhaustive check: a running total the
-/// workers add covered-input counts to, surfaced as obs events and
-/// through the caller's reporter.
-struct ProgressTracker<'a> {
+/// workers add covered-input counts to, published as the `check.inputs`
+/// counter and, when a sink is installed, the `check.zero_one.progress`
+/// gauge (its `done`, `total`, `per_sec` and `eta_s` attributes feed
+/// `snetctl --progress`).
+struct ProgressTracker {
     done: Mutex<u64>,
     total: u64,
     t0: Instant,
-    reporter: Option<&'a (dyn Fn(CheckProgress) + Sync)>,
 }
 
-impl ProgressTracker<'_> {
-    fn new(total: u64, reporter: Option<&(dyn Fn(CheckProgress) + Sync)>) -> ProgressTracker<'_> {
-        ProgressTracker { done: Mutex::new(0), total, t0: Instant::now(), reporter }
+impl ProgressTracker {
+    fn new(total: u64) -> ProgressTracker {
+        ProgressTracker { done: Mutex::new(0), total, t0: Instant::now() }
     }
 
     /// Credits `covered` inputs and publishes a snapshot. Publishing under
     /// the lock keeps `done` monotone across workers.
     fn record(&self, covered: u64) {
-        let mut done = self.done.lock().expect("a progress reporter panicked");
+        let mut done = self.done.lock().expect("a progress publisher panicked");
         *done += covered;
-        let p = CheckProgress {
-            done: (*done).min(self.total),
-            total: self.total,
-            elapsed: self.t0.elapsed(),
-        };
         snet_obs::counter("check.inputs", covered);
         if snet_obs::enabled() {
+            let done = (*done).min(self.total);
+            let secs = self.t0.elapsed().as_secs_f64();
+            let per_sec = if secs > 0.0 { done as f64 / secs } else { 0.0 };
             let mut attrs = vec![
-                ("done".to_string(), p.done.to_string()),
-                ("total".to_string(), p.total.to_string()),
-                ("per_sec".to_string(), format!("{:.0}", p.per_sec())),
+                ("done".to_string(), done.to_string()),
+                ("total".to_string(), self.total.to_string()),
+                ("per_sec".to_string(), format!("{per_sec:.0}")),
             ];
-            if let Some(eta) = p.eta_secs() {
+            if per_sec > 0.0 {
+                let eta = (self.total - done) as f64 / per_sec;
                 attrs.push(("eta_s".to_string(), format!("{eta:.1}")));
             }
-            snet_obs::gauge_with("check.zero_one.progress", p.fraction(), attrs);
-        }
-        if let Some(r) = self.reporter {
-            r(p);
+            snet_obs::gauge_with("check.zero_one.progress", done as f64 / self.total as f64, attrs);
         }
     }
 }
@@ -189,19 +139,12 @@ pub struct Executor {
 }
 
 impl Executor {
-    /// Compiles a circuit-model network through the canonical pipeline
-    /// (route absorption, `CmpRev` normalization, `Pass`/`Swap`
-    /// elimination). The result replays the network exactly, including
+    /// Compiles a circuit-model network: lowering absorbs its routes, then
+    /// the canonical pipeline normalizes `CmpRev` and eliminates
+    /// `Pass`/`Swap`. The result replays the network exactly, including
     /// traced event order.
     pub fn compile(net: &ComparatorNetwork) -> Self {
         Self::compile_with(net, &PassManager::canonical())
-    }
-
-    /// Compiles without running any passes: the faithful lowering is
-    /// executed as-is (routes and all). This is the `--no-passes`
-    /// debugging path; roughly interpreter-speed.
-    pub fn compile_raw(net: &ComparatorNetwork) -> Self {
-        Self::compile_with(net, &PassManager::empty())
     }
 
     /// Compiles through an explicit pipeline.
@@ -305,16 +248,14 @@ impl Executor {
     /// applies the gather implicitly).
     #[inline]
     pub fn run_block_01x64(&self, slots: &mut [u64]) {
-        let mut route_scratch = Vec::new();
-        self.program.run_block_01x64(slots, &mut route_scratch);
+        self.program.run_block_01x64(slots);
     }
 
     /// Like [`run_block_01x64`](Self::run_block_01x64), but also
     /// accumulates, per op, a bitmask of the lanes on which the op fired.
     /// `valid` masks out lanes not corresponding to real inputs.
     pub fn run_01x64_fired(&self, slots: &mut [u64], valid: u64, fired: &mut [u64]) {
-        let mut route_scratch = Vec::new();
-        self.program.run_block_01x64_fired(slots, valid, fired, &mut route_scratch);
+        self.program.run_block_01x64_fired(slots, valid, fired);
     }
 
     /// Packs the 64 consecutive inputs `base..base+64` into slot words;
@@ -334,7 +275,7 @@ impl Executor {
     // ------------------------------------------------------------------
 
     /// Pushes a reachable 0-1 set through program levels
-    /// `levels.start..levels.end` — routes included, the final output
+    /// `levels.start..levels.end`, in slot coordinates — the final output
     /// gather excluded. This is the incremental per-layer entry point the
     /// depth-search engine drives: seed with [`ZeroOneSet::full`], apply a
     /// level at a time, and test [`ZeroOneSet::is_sorted_only`].
@@ -353,10 +294,6 @@ impl Executor {
         let level_of = p.level_of();
         let mut start = level_of.partition_point(|&l| (l as usize) < levels.start);
         for lvl in levels {
-            if let Some(r) = &p.routes[lvl] {
-                set.apply_route_into(r, scratch);
-                std::mem::swap(set, scratch);
-            }
             let end = start + level_of[start..].iter().take_while(|&&l| l as usize == lvl).count();
             let ops = &p.ops()[start..end];
             if !ops.is_empty() {
@@ -396,7 +333,6 @@ impl Executor {
         total: u64,
         ceiling: &AtomicU64,
         slots: &mut [u64],
-        route_scratch: &mut Vec<u64>,
     ) -> Option<u64> {
         let mut base = from;
         while base < to {
@@ -406,7 +342,7 @@ impl Executor {
                 return None;
             }
             self.program.pack_block(base, slots);
-            self.program.run_block_01x64(slots, route_scratch);
+            self.program.run_block_01x64(slots);
             let valid: u64 =
                 if total - base >= 64 { u64::MAX } else { (1u64 << (total - base)) - 1 };
             let bad = self.program.unsorted_lanes_in_slots(slots) & valid;
@@ -430,8 +366,7 @@ impl Executor {
         assert!(n <= 32, "exhaustive check caps at n = 32");
         let total: u64 = 1u64 << n;
         let mut slots = vec![0u64; n];
-        let mut route_scratch = Vec::new();
-        self.scan_range(0, total, total, &AtomicU64::new(u64::MAX), &mut slots, &mut route_scratch)
+        self.scan_range(0, total, total, &AtomicU64::new(u64::MAX), &mut slots)
     }
 
     /// Counts the 0-1 inputs the network fails to sort, exhaustively.
@@ -440,12 +375,11 @@ impl Executor {
         assert!(n <= 26, "exhaustive over 2^n inputs");
         let total: u64 = 1u64 << n;
         let mut slots = vec![0u64; n];
-        let mut route_scratch = Vec::new();
         let mut count = 0u64;
         let mut base = 0u64;
         while base < total {
             self.program.pack_block(base, &mut slots);
-            self.program.run_block_01x64(&mut slots, &mut route_scratch);
+            self.program.run_block_01x64(&mut slots);
             let valid: u64 =
                 if total - base >= 64 { u64::MAX } else { (1u64 << (total - base)) - 1 };
             count += (self.program.unsorted_lanes_in_slots(&slots) & valid).count_ones() as u64;
@@ -465,31 +399,21 @@ impl Executor {
     /// [`crate::sortcheck::check_zero_one_exhaustive`] is this with one
     /// thread. Panics if `n > 30`.
     ///
-    /// A route-free program over more than `2¹⁶` inputs that starts with
-    /// comparators is checked on its first level's image: the rest of the
-    /// program runs on the `3^p · 2^(n−2p)` vectors `p` leading disjoint
-    /// comparators can output, which by the 0-1 principle covers every
-    /// input. Inputs `0..2¹⁶` are scanned first; if some image vector comes
-    /// out unsorted, the scan resumes at `2¹⁶`, so the counterexample is
-    /// still the lowest failing index. Other programs are scanned in full.
+    /// A program over more than `2¹⁶` inputs that starts with comparators
+    /// is checked on its first level's image: the rest of the program runs
+    /// on the `3^p · 2^(n−2p)` vectors `p` leading disjoint comparators can
+    /// output, which by the 0-1 principle covers every input. Inputs
+    /// `0..2¹⁶` are scanned first; if some image vector comes out unsorted,
+    /// the scan resumes at `2¹⁶`, so the counterexample is still the
+    /// lowest failing index. Other programs are scanned in full.
+    ///
+    /// Progress is published as obs events when a sink is installed: the
+    /// `check.inputs` counter, the `check.zero_one.progress` gauge, and
+    /// one `check.shard` span per claim when sharded. The image path
+    /// credits the `2ⁿ − 2¹⁶` inputs the prefix scan leaves in proportion
+    /// to the image blocks checked, so a sorting check's progress ends at
+    /// exactly `2ⁿ`; a resumed scan credits the inputs it scans again.
     pub fn check_zero_one(&self, threads: usize) -> SortCheck {
-        self.check_zero_one_with(threads, None)
-    }
-
-    /// [`check_zero_one`](Self::check_zero_one) with progress reporting:
-    /// `reporter` (if any) is called from worker threads with monotone
-    /// [`CheckProgress`] snapshots as claims complete. Progress is also
-    /// published as obs events (`check.inputs` counter,
-    /// `check.zero_one.progress` gauge, one `check.shard` span per claim
-    /// when sharded) when a sink is installed. The image path credits the
-    /// `2ⁿ − 2¹⁶` inputs the prefix scan leaves in proportion to the image
-    /// blocks checked, so a sorting check's progress ends at exactly `2ⁿ`;
-    /// a resumed scan credits the inputs it scans again.
-    pub fn check_zero_one_with(
-        &self,
-        threads: usize,
-        reporter: Option<&(dyn Fn(CheckProgress) + Sync)>,
-    ) -> SortCheck {
         let n = self.wires();
         assert!(n <= 30, "exhaustive 0-1 check limited to n <= 30 (got {n})");
         let total: u64 = 1u64 << n;
@@ -504,7 +428,7 @@ impl Executor {
             span.add_attr("lanes", image.lanes());
         }
         let check = span.id();
-        let progress = ProgressTracker::new(total, reporter);
+        let progress = ProgressTracker::new(total);
         let scan = |from, to| self.scan(from, to, threads, &progress, check);
         let found = match &image {
             None => scan(0, total),
@@ -531,7 +455,7 @@ impl Executor {
         from: u64,
         to: u64,
         threads: usize,
-        progress: &ProgressTracker<'_>,
+        progress: &ProgressTracker,
         check: u64,
     ) -> Option<u64> {
         let n = self.wires();
@@ -543,8 +467,8 @@ impl Executor {
             threads,
             check,
             "scan",
-            || (vec![0u64; n], Vec::new()),
-            |(slots, route_scratch), blocks| {
+            || vec![0u64; n],
+            |slots, blocks| {
                 let lo = from + 64 * blocks.start;
                 if lo >= best.load(Ordering::Acquire) {
                     // Every later claim starts even later; nothing below
@@ -552,7 +476,7 @@ impl Executor {
                     return false;
                 }
                 let hi = (from + 64 * blocks.end).min(to);
-                match self.scan_range(lo, hi, total, &best, slots, route_scratch) {
+                match self.scan_range(lo, hi, total, &best, slots) {
                     Some(idx) => {
                         best.fetch_min(idx, Ordering::AcqRel);
                         progress.record(idx + 1 - lo);
@@ -578,7 +502,7 @@ impl Executor {
         &self,
         image: &FirstLevelImage,
         threads: usize,
-        progress: &ProgressTracker<'_>,
+        progress: &ProgressTracker,
         check: u64,
     ) -> bool {
         let rest = (1u64 << self.wires()) - IMAGE_PREFIX;
@@ -704,7 +628,6 @@ pub fn check_zero_one_sharded(net: &ComparatorNetwork, threads: usize) -> SortCh
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
 
     #[test]
     fn engine_thread_parsing_rejects_garbage() {
@@ -738,26 +661,16 @@ mod tests {
     }
 
     #[test]
-    fn check_progress_reporter_reaches_total_and_is_monotone() {
+    fn check_progress_gauge_reaches_total_and_is_monotone() {
         use snet_obs::EventKind;
         // Odd-even transposition sorts, so each check runs to completion
         // and progress must reach 2^n: at n = 8 by the plain scan, at
         // n = 18 on the first level's image, inline and sharded.
         for (n, threads) in [(8usize, 1usize), (18, 1), (18, 2)] {
             let exec = Executor::compile(&odd_even_transposition(n, n));
-            let seen: Mutex<Vec<CheckProgress>> = Mutex::new(Vec::new());
-            let reporter = |p: CheckProgress| seen.lock().unwrap().push(p);
             let mut result = None;
-            let events = snet_obs::test_capture(|| {
-                result = Some(exec.check_zero_one_with(threads, Some(&reporter)));
-            });
+            let events = snet_obs::test_capture(|| result = Some(exec.check_zero_one(threads)));
             assert_eq!(result, Some(SortCheck::AllSorted { tested: 1 << n }));
-            let seen = seen.into_inner().unwrap();
-            assert!(!seen.is_empty(), "reporter saw at least one snapshot");
-            assert_eq!(seen.last().unwrap().done, 1 << n);
-            assert_eq!(seen.last().unwrap().total, 1 << n);
-            assert!(seen.windows(2).all(|w| w[0].done <= w[1].done), "n={n} t={threads}");
-            assert!((seen.last().unwrap().fraction() - 1.0).abs() < 1e-12);
 
             // The sink is global: keep this thread's check and its shards.
             let me = snet_obs::thread_ordinal();
@@ -776,12 +689,19 @@ mod tests {
                 .map(|e| e.id)
                 .chain([check.id])
                 .collect();
-            let inputs: f64 = events
-                .iter()
-                .filter(|e| e.kind == EventKind::Counter && e.name == "check.inputs")
-                .filter(|e| ours.contains(&e.parent))
-                .map(|e| e.value)
-                .sum();
+            let ours = |kind: EventKind, name: &'static str| {
+                events
+                    .iter()
+                    .filter(move |e| e.kind == kind && e.name == name)
+                    .filter(|e| ours.contains(&e.parent))
+            };
+            let done: Vec<u64> = ours(EventKind::Gauge, "check.zero_one.progress")
+                .map(|e| e.attr("done").expect("done").parse().expect("a count"))
+                .collect();
+            assert!(!done.is_empty(), "n={n} t={threads}: at least one progress gauge");
+            assert!(done.windows(2).all(|w| w[0] <= w[1]), "n={n} t={threads}: {done:?}");
+            assert_eq!(done.last(), Some(&(1u64 << n)), "n={n} t={threads}");
+            let inputs: f64 = ours(EventKind::Counter, "check.inputs").map(|e| e.value).sum();
             assert_eq!(inputs, (1u64 << n) as f64, "check.inputs covers every input once");
         }
     }
@@ -820,7 +740,9 @@ mod tests {
     fn reachable_01_set_matches_brute_force_and_lane_scan() {
         for (n, passes) in [(6usize, 6usize), (6, 3), (7, 7), (7, 4), (5, 2)] {
             let net = odd_even_transposition(n, passes);
-            for exec in [Executor::compile(&net), Executor::compile_raw(&net)] {
+            for exec in
+                [Executor::compile(&net), Executor::compile_with(&net, &PassManager::empty())]
+            {
                 let reach = exec.reachable_01_set();
                 assert_eq!(reach, brute_force_reachable(&exec), "n={n} passes={passes}");
                 // Set-level sortedness agrees with the lane scan verdict.
@@ -835,9 +757,9 @@ mod tests {
 
     #[test]
     fn apply_levels_01_set_is_incremental() {
-        // A routed register-model lowering exercises the per-level route
-        // path; applying levels one at a time must equal one whole-range
-        // application.
+        // A register-model lowering, its routes absorbed into the slot
+        // numbering: applying levels one at a time must equal one
+        // whole-range application.
         use crate::element::ElementKind;
         use crate::register::{RegisterNetwork, RegisterStage};
         let n = 8usize;

@@ -47,9 +47,9 @@ impl Digit {
     }
 }
 
-/// The image of a route-free program's leading run of disjoint
-/// comparators: for a leveled network its first level, plus any leading
-/// comparators of the next level on wires the first leaves free.
+/// The image of a program's leading run of disjoint comparators: for a
+/// leveled network its first level, plus any leading comparators of the
+/// next level on wires the first leaves free.
 #[derive(Debug, Clone)]
 pub(crate) struct FirstLevelImage {
     /// Index of the first op after the leading comparators.
@@ -74,14 +74,10 @@ pub(crate) struct ImageScratch {
 }
 
 impl FirstLevelImage {
-    /// The image plan for `program`, or `None` when it keeps routes or
-    /// does not start with a comparator. The leading run ends at the
-    /// first `Pass` or `Swap` or the first comparator sharing a slot with
-    /// an earlier one.
+    /// The image plan for `program`, or `None` when it does not start
+    /// with a comparator. The leading run ends at the first `Pass` or
+    /// `Swap` or the first comparator sharing a slot with an earlier one.
     pub(crate) fn of(program: &Program) -> Option<Self> {
-        if program.has_routes() {
-            return None;
-        }
         let n = program.wires();
         let mut used = vec![false; n];
         let mut comparators = Vec::new();
@@ -211,8 +207,9 @@ impl FirstLevelImage {
 mod tests {
     use super::*;
     use crate::element::Element;
-    use crate::ir::Executor;
+    use crate::ir::{Executor, PassManager};
     use crate::network::{ComparatorNetwork, Level};
+    use crate::register::{RegisterNetwork, RegisterStage};
     use crate::sortcheck::SortCheck;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -306,7 +303,7 @@ mod tests {
     }
 
     #[test]
-    fn routes_and_leading_non_comparators_have_no_plan() {
+    fn leading_non_comparators_have_no_plan_but_routes_do() {
         let mut net = ComparatorNetwork::empty(8);
         net.push_elements(vec![
             Element { a: 0, b: 1, kind: ElementKind::Swap },
@@ -314,15 +311,20 @@ mod tests {
         ])
         .expect("valid");
         assert!(FirstLevelImage::of(&Program::from_network(&net)).is_none());
-        let reg = crate::register::RegisterNetwork::new(
-            8,
-            vec![crate::register::RegisterStage {
-                perm: crate::perm::Permutation::shuffle(8),
-                ops: vec![ElementKind::Cmp; 4],
-            }],
-        )
-        .expect("valid");
-        assert!(FirstLevelImage::of(&Program::from_register(&reg)).is_none());
+        let pass = Level::of_elements(vec![Element { a: 0, b: 1, kind: ElementKind::Pass }]);
+        let net = ComparatorNetwork::new(8, vec![pass]).expect("valid");
+        assert!(FirstLevelImage::of(&Program::from_network(&net)).is_none());
+        // Lowering absorbs routes, so a routed first level is planned on
+        // the slots its comparators land on.
+        let shuffle = crate::perm::Permutation::shuffle(8);
+        let routed = Level { route: Some(shuffle.clone()), elements: vec![Element::cmp(0, 1)] };
+        let net = ComparatorNetwork::new(8, vec![routed]).expect("valid");
+        let plan = FirstLevelImage::of(&Program::from_network(&net)).expect("a plan");
+        assert_eq!(plan.size(), 3 << 6);
+        let stage = RegisterStage { perm: shuffle, ops: vec![ElementKind::Cmp; 4] };
+        let reg = RegisterNetwork::new(8, vec![stage]).expect("valid");
+        let plan = FirstLevelImage::of(&Program::from_register(&reg)).expect("a plan");
+        assert_eq!(plan.size(), 81);
     }
 
     /// Pratt's Shellsort network: increments `2^a·3^b < n` in decreasing
@@ -368,6 +370,17 @@ mod tests {
         }
     }
 
+    /// `net` with a random route on its first level and a routing-only
+    /// level at a random place among the rest.
+    fn with_routes(net: &ComparatorNetwork, rng: &mut StdRng) -> ComparatorNetwork {
+        let n = net.wires();
+        let mut levels = net.levels().to_vec();
+        levels[0].route = Some(crate::perm::Permutation::random(n, rng));
+        let at = rng.gen_range(1..=levels.len());
+        levels.insert(at, Level::of_route(crate::perm::Permutation::random(n, rng)));
+        ComparatorNetwork::new(n, levels).expect("valid network")
+    }
+
     #[test]
     fn image_path_matches_the_full_scan() {
         let mut rng = StdRng::seed_from_u64(17);
@@ -394,15 +407,29 @@ mod tests {
                 for suffix in suffixes {
                     let net = ComparatorNetwork::new(n, [vec![front.clone()], suffix].concat())
                         .expect("valid network");
-                    // The raw compile keeps `CmpRev` (min on `b`) and `Swap`.
-                    let compiles = if p == n / 8 {
-                        vec![Executor::compile(&net), Executor::compile_raw(&net)]
-                    } else {
-                        vec![Executor::compile(&net)]
-                    };
-                    for exec in compiles {
+                    let empty = PassManager::empty();
+                    // The empty pipeline keeps `CmpRev` (min on `b`) and
+                    // `Swap`; routes are absorbed by lowering under any
+                    // pipeline, so the routed twin takes the image path too.
+                    let routed = with_routes(&net, &mut rng);
+                    let mut compiles = vec![
+                        (net.clone(), Executor::compile(&net)),
+                        (routed.clone(), Executor::compile(&routed)),
+                    ];
+                    if p == n / 8 {
+                        compiles.extend([
+                            (net.clone(), Executor::compile_with(&net, &empty)),
+                            (routed.clone(), Executor::compile_with(&routed, &empty)),
+                        ]);
+                    }
+                    if n == 18 {
+                        let reg = RegisterNetwork::from_network(&net);
+                        compiles.push((net.clone(), Executor::compile_register(&reg)));
+                    }
+                    for (net, exec) in compiles {
+                        assert!(FirstLevelImage::of(exec.program()).is_some(), "n={n} p={p}");
                         let reference = full_scan(&net, &exec);
-                        if net.levels().last() == Some(&swap) {
+                        if net.levels().last() == Some(&swap) && net.levels()[0].route.is_none() {
                             let lowest: Vec<u32> = (0..n).map(|w| u32::from(w + 1 < n)).collect();
                             assert!(matches!(&reference,
                                 SortCheck::Counterexample { input, .. } if *input == lowest));

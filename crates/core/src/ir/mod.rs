@@ -4,14 +4,13 @@
 //! Module map:
 //!
 //! * [`program`] — [`Program`]: the flat IR (`(a, b, kind)` ops grouped
-//!   into levels, per-level routes, `origins` provenance, final
-//!   `output_map` gather) lowered faithfully from either Section 1 model,
-//!   plus the raw scalar / traced / 64-lane backends.
-//! * [`passes`] — [`PassManager`] and the five passes: [`AbsorbRoutes`],
-//!   [`NormalizeCmpRev`], [`StripPassSwap`] (together the *canonical*
-//!   pipeline, lifted out of the PR-1 `engine::compile`), plus
-//!   [`RedundantElim`] (subsuming the analysis previously re-implemented
-//!   in `optimize.rs`) and [`Relayer`] in the *optimizing* pipeline.
+//!   into levels, `origins` provenance, final `output_map` gather) lowered
+//!   from either Section 1 model with every route absorbed into the slot
+//!   numbering, plus the scalar / traced / 64-lane backends, each one loop
+//!   over the ops.
+//! * [`passes`] — [`PassManager`] and the four passes: [`NormalizeCmpRev`]
+//!   and [`StripPassSwap`] (together the *canonical* pipeline), plus
+//!   [`RedundantElim`] and [`Relayer`] in the *optimizing* pipeline.
 //! * [`exec`] — [`Executor`]: one compiled handle over the scalar,
 //!   64-lane 0-1, sharded-verification, and batched map-reduce backends.
 //!   Every crate in the workspace evaluates through this.
@@ -36,8 +35,8 @@ pub mod program;
 pub use canon::{Canonical, CanonicalHash};
 pub use exec::{check_zero_one_sharded, default_engine_threads, evaluate, Executor};
 pub use passes::{
-    exhaustive_fired_masks, AbsorbRoutes, NormalizeCmpRev, Pass, PassManager, PassRecord,
-    RedundantElim, Relayer, StripPassSwap,
+    exhaustive_fired_masks, NormalizeCmpRev, Pass, PassManager, PassRecord, RedundantElim, Relayer,
+    StripPassSwap,
 };
 pub use program::{Op, Origin, Program};
 
@@ -64,8 +63,8 @@ mod tests {
         net
     }
 
-    /// A network exercising every construct the pipeline absorbs: routes,
-    /// Swap, CmpRev, Pass.
+    /// A network exercising every construct lowering and the pipeline
+    /// absorb: routes, Swap, CmpRev, Pass.
     fn gnarly(n: usize, seed: u64) -> ComparatorNetwork {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut levels = Vec::new();
@@ -100,11 +99,10 @@ mod tests {
             ("canonical", PassManager::canonical()),
             ("optimizing", PassManager::optimizing()),
             // Deliberately weird orders: each pass must be standalone-sound.
-            ("strip-first", PassManager::empty().with(StripPassSwap).with(AbsorbRoutes)),
+            ("strip-first", PassManager::empty().with(StripPassSwap).with(NormalizeCmpRev)),
             (
                 "relayer-early",
                 PassManager::empty()
-                    .with(AbsorbRoutes)
                     .with(Relayer)
                     .with(NormalizeCmpRev)
                     .with(StripPassSwap)
@@ -167,7 +165,6 @@ mod tests {
         let net = gnarly(8, 3);
         let exec = Executor::compile(&net);
         let prog = exec.program();
-        assert!(!prog.has_routes(), "routes absorbed");
         let comparators = net
             .levels()
             .iter()
@@ -186,14 +183,12 @@ mod tests {
 
     #[test]
     fn raising_round_trips_through_every_pipeline() {
-        // `Program::to_network` must replay the source mapping for the
-        // faithful lowering (structural identity) and for every pass
-        // pipeline (behavioural identity, gather level included).
+        // `Program::to_network` must replay the source mapping for every
+        // pass pipeline, the empty one included (behavioural identity,
+        // gather level included).
         for seed in 0..10u64 {
             let n = 9;
             let net = gnarly(n, seed);
-            let faithful = Program::from_network(&net).to_network();
-            assert_eq!(&faithful, &net, "faithful lowering raises to the identical circuit");
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xace);
             for (name, pm) in all_pipelines() {
                 let mut prog = Program::from_network(&net);
@@ -441,7 +436,7 @@ mod tests {
         let net = gnarly(8, 5);
         let exec = Executor::compile_with(&net, &PassManager::optimizing());
         let records = exec.pass_records();
-        assert_eq!(records.len(), 5);
+        assert_eq!(records.len(), 4);
         let total_ops = Program::from_network(&net).op_count();
         let eliminated: usize = records.iter().map(PassRecord::ops_eliminated).sum();
         assert_eq!(total_ops - eliminated, exec.op_count());

@@ -5,11 +5,11 @@
 //! differential suite in `xtask-tests` checks this for *any* pass order
 //! against the interpreter). Two standard pipelines exist:
 //!
-//! * [`PassManager::canonical`] — [`AbsorbRoutes`], [`NormalizeCmpRev`],
-//!   [`StripPassSwap`]. These also preserve the comparator *sequence*
-//!   (count and execution order), so traced replay through
-//!   [`Program::run_traced`] reports the interpreter's exact event stream.
-//!   This is what [`crate::ir::Executor::compile`] runs.
+//! * [`PassManager::canonical`] — [`NormalizeCmpRev`], [`StripPassSwap`].
+//!   These also preserve the comparator *sequence* (count and execution
+//!   order), so traced replay through [`Program::run_traced`] reports the
+//!   interpreter's exact event stream. This is what
+//!   [`crate::ir::Executor::compile`] runs.
 //! * [`PassManager::optimizing`] — canonical plus [`RedundantElim`] and
 //!   [`Relayer`]. Behaviour-preserving but not sequence-preserving; used by
 //!   optimization workflows (`snetctl passes`, redundancy experiments).
@@ -21,7 +21,6 @@
 
 use super::program::{Op, Program};
 use crate::element::ElementKind;
-use crate::perm::Permutation;
 
 /// A semantics-preserving rewrite of a [`Program`].
 pub trait Pass {
@@ -66,19 +65,18 @@ pub struct PassManager {
 }
 
 impl PassManager {
-    /// A pipeline that runs nothing (the faithful lowering is executed
-    /// as-is; this is what `--no-passes` selects).
+    /// A pipeline that runs nothing: the lowering (its routes absorbed)
+    /// is executed as it is, `CmpRev`, `Pass` and `Swap` included.
     pub fn empty() -> Self {
         PassManager { passes: Vec::new() }
     }
 
     /// The order- and comparator-preserving pipeline every [`Executor`]
-    /// runs by default: absorb routes, normalize `CmpRev`, strip
-    /// `Pass`/`Swap`.
+    /// runs by default: normalize `CmpRev`, strip `Pass`/`Swap`.
     ///
     /// [`Executor`]: crate::ir::Executor
     pub fn canonical() -> Self {
-        PassManager::empty().with(AbsorbRoutes).with(NormalizeCmpRev).with(StripPassSwap)
+        PassManager::empty().with(NormalizeCmpRev).with(StripPassSwap)
     }
 
     /// The canonical pipeline plus redundant-comparator elimination and
@@ -145,48 +143,6 @@ impl std::fmt::Debug for PassManager {
     }
 }
 
-/// Absorbs every routing permutation into a wire relabeling: a route only
-/// permutes the wire→slot mapping, moving no data at run time. Op slots
-/// are rewritten through the mapping and the accumulated permutation is
-/// folded into the final `output_map` gather. After this pass
-/// `Program::has_routes()` is false.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AbsorbRoutes;
-
-impl Pass for AbsorbRoutes {
-    fn name(&self) -> &'static str {
-        "absorb-routes"
-    }
-
-    fn run(&self, prog: &mut Program) {
-        if !prog.has_routes() {
-            return;
-        }
-        let n = prog.n;
-        // phys[s] = physical slot currently holding (pre-pass) slot s's value.
-        let mut phys: Vec<u32> = (0..n as u32).collect();
-        let mut scratch: Vec<u32> = vec![0; n];
-        let mut start = 0usize;
-        for lvl in 0..prog.level_count {
-            if let Some(route) = prog.routes[lvl as usize].take() {
-                // Routing by p moves slot s's value to slot p(s); relabel
-                // instead of moving: new_phys[p(s)] = phys[s].
-                scratch.copy_from_slice(&phys);
-                route.route(&scratch, &mut phys);
-            }
-            let end = start + prog.level_of[start..].iter().take_while(|&&l| l == lvl).count();
-            for op in &mut prog.ops[start..end] {
-                op.a = phys[op.a as usize];
-                op.b = phys[op.b as usize];
-            }
-            start = end;
-        }
-        for m in &mut prog.output_map {
-            *m = phys[*m as usize];
-        }
-    }
-}
-
 /// Rewrites every `CmpRev` op as `Cmp` with its operands exchanged
 /// (`max → a, min → b` ≡ `min → b, max → a`), so downstream backends can
 /// specialize on a homogeneous `Cmp` op list. Origins keep the source
@@ -209,10 +165,8 @@ impl Pass for NormalizeCmpRev {
 }
 
 /// Drops every `Pass` op and absorbs every `Swap` op into a slot
-/// relabeling (an unconditional exchange is a compile-time renaming). If a
-/// route is encountered with a pending relabeling φ, the route `r` is
-/// replaced by `r ∘ φ⁻¹` and φ resets, so the pass is correct in any
-/// pipeline position. The final relabeling folds into `output_map`.
+/// relabeling (an unconditional exchange is a compile-time renaming). The
+/// final relabeling folds into `output_map`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct StripPassSwap;
 
@@ -222,56 +176,23 @@ impl Pass for StripPassSwap {
     }
 
     fn run(&self, prog: &mut Program) {
-        let n = prog.n;
         // phi[s] = slot of the rewritten program holding slot s's value.
-        let mut phi: Vec<u32> = (0..n as u32).collect();
-        let mut ops = Vec::with_capacity(prog.ops.len());
-        let mut origins = Vec::with_capacity(prog.ops.len());
-        let mut level_of = Vec::with_capacity(prog.ops.len());
-        let mut start = 0usize;
-        for lvl in 0..prog.level_count {
-            if let Some(route) = prog.routes[lvl as usize].take() {
-                if phi.iter().enumerate().all(|(s, &v)| s as u32 == v) {
-                    prog.routes[lvl as usize] = Some(route);
-                } else {
-                    // New slot phi[s] must route to wherever old slot s
-                    // routed: r'(phi[s]) = r(s), i.e. r' = r ∘ φ⁻¹.
-                    let mut images = vec![0u32; n];
-                    for (s, &p) in phi.iter().enumerate() {
-                        images[p as usize] = route.apply(s) as u32;
-                    }
-                    prog.routes[lvl as usize] =
-                        Some(Permutation::from_images(images).expect("r ∘ φ⁻¹ is a bijection"));
-                    for (s, v) in phi.iter_mut().enumerate() {
-                        *v = s as u32;
-                    }
+        let mut phi: Vec<u32> = (0..prog.n as u32).collect();
+        let mut keep = vec![false; prog.ops.len()];
+        for (op, kept) in prog.ops.iter_mut().zip(&mut keep) {
+            match op.kind {
+                ElementKind::Pass => {}
+                ElementKind::Swap => phi.swap(op.a as usize, op.b as usize),
+                ElementKind::Cmp | ElementKind::CmpRev => {
+                    *op = Op { a: phi[op.a as usize], b: phi[op.b as usize], kind: op.kind };
+                    *kept = true;
                 }
             }
-            let end = start + prog.level_of[start..].iter().take_while(|&&l| l == lvl).count();
-            for k in start..end {
-                let op = prog.ops[k];
-                match op.kind {
-                    ElementKind::Pass => {}
-                    ElementKind::Swap => phi.swap(op.a as usize, op.b as usize),
-                    ElementKind::Cmp | ElementKind::CmpRev => {
-                        ops.push(Op {
-                            a: phi[op.a as usize],
-                            b: phi[op.b as usize],
-                            kind: op.kind,
-                        });
-                        origins.push(prog.origins[k]);
-                        level_of.push(lvl);
-                    }
-                }
-            }
-            start = end;
         }
         for m in &mut prog.output_map {
             *m = phi[*m as usize];
         }
-        prog.ops = ops;
-        prog.origins = origins;
-        prog.level_of = level_of;
+        prog.retain_ops(&keep);
     }
 }
 
@@ -286,12 +207,11 @@ pub fn exhaustive_fired_masks(prog: &Program) -> Vec<u64> {
     let total: u64 = 1u64 << n;
     let mut fired = vec![0u64; prog.op_count()];
     let mut slots = vec![0u64; n];
-    let mut route_scratch = Vec::new();
     let mut base = 0u64;
     while base < total {
         let valid: u64 = if total - base >= 64 { u64::MAX } else { (1u64 << (total - base)) - 1 };
         prog.pack_block(base, &mut slots);
-        prog.run_block_01x64_fired(&mut slots, valid, &mut fired, &mut route_scratch);
+        prog.run_block_01x64_fired(&mut slots, valid, &mut fired);
         base += 64;
     }
     fired
@@ -301,7 +221,7 @@ pub fn exhaustive_fired_masks(prog: &Program) -> Vec<u64> {
 ///
 /// * **structurally** — a comparator identical to the previous op that
 ///   touched both of its slots can never fire (the pair is already
-///   ordered); works at any `n`, resets at routed levels;
+///   ordered); works at any `n`;
 /// * **exhaustively** — when `n ≤ exhaustive_limit`, every comparator
 ///   whose [`exhaustive_fired_masks`] entry is 0 is removed. This subsumes
 ///   the structural rule and is exact (never removes a load-bearing
@@ -331,58 +251,31 @@ impl Pass for RedundantElim {
 
     fn run(&self, prog: &mut Program) {
         let n = prog.n;
-        let mut drop = vec![false; prog.op_count()];
+        let mut keep = vec![true; prog.op_count()];
         if n <= self.exhaustive_limit {
-            for (k, (&mask, op)) in
-                exhaustive_fired_masks(prog).iter().zip(prog.ops.iter()).enumerate()
+            for ((&mask, op), kept) in
+                exhaustive_fired_masks(prog).iter().zip(&prog.ops).zip(&mut keep)
             {
-                drop[k] = mask == 0 && op.is_comparator();
+                *kept = mask != 0 || !op.is_comparator();
             }
         } else {
-            // last[s] = index of the last surviving op touching slot s since
-            // the last route (routes move values between slots, so the
-            // adjacency argument resets there).
+            // last[s] = index of the last surviving op touching slot s.
             let mut last: Vec<Option<usize>> = vec![None; n];
-            let mut start = 0usize;
-            for lvl in 0..prog.level_count {
-                if prog.routes[lvl as usize].is_some() {
-                    last.iter_mut().for_each(|s| *s = None);
+            for (k, (&op, kept)) in prog.ops.iter().zip(&mut keep).enumerate() {
+                let (ia, ib) = (op.a as usize, op.b as usize);
+                if op.is_comparator()
+                    && last[ia].is_some()
+                    && last[ia] == last[ib]
+                    && prog.ops[last[ia].expect("checked")] == op
+                {
+                    *kept = false;
+                    continue;
                 }
-                let end = start + prog.level_of[start..].iter().take_while(|&&l| l == lvl).count();
-                let (ops, dropped) = (&prog.ops[..end], &mut drop[..end]);
-                for (k, (&op, dk)) in ops.iter().zip(dropped).enumerate().skip(start) {
-                    let (ia, ib) = (op.a as usize, op.b as usize);
-                    if op.is_comparator()
-                        && last[ia].is_some()
-                        && last[ia] == last[ib]
-                        && prog.ops[last[ia].expect("checked")] == op
-                    {
-                        *dk = true;
-                        continue;
-                    }
-                    last[ia] = Some(k);
-                    last[ib] = Some(k);
-                }
-                start = end;
+                last[ia] = Some(k);
+                last[ib] = Some(k);
             }
         }
-        if drop.iter().any(|&d| d) {
-            let mut k = 0;
-            prog.ops.retain(|_| {
-                k += 1;
-                !drop[k - 1]
-            });
-            k = 0;
-            prog.origins.retain(|_| {
-                k += 1;
-                !drop[k - 1]
-            });
-            k = 0;
-            prog.level_of.retain(|_| {
-                k += 1;
-                !drop[k - 1]
-            });
-        }
+        prog.retain_ops(&keep);
     }
 }
 
@@ -390,8 +283,7 @@ impl Pass for RedundantElim {
 /// op lands at `max(earliest[a], earliest[b])`. Ops assigned the same
 /// level are automatically slot-disjoint, and relative order within every
 /// slot's dependency chain is preserved, so the rewrite is
-/// behaviour-preserving. No-op while routes are present (run
-/// [`AbsorbRoutes`] first); depth never increases on a valid program.
+/// behaviour-preserving; depth never increases on a valid program.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Relayer;
 
@@ -401,13 +293,9 @@ impl Pass for Relayer {
     }
 
     fn run(&self, prog: &mut Program) {
-        if prog.has_routes() {
-            return;
-        }
         let n = prog.n;
         if prog.ops.is_empty() {
             prog.level_of.clear();
-            prog.routes.clear();
             prog.level_count = 0;
             return;
         }
@@ -445,6 +333,5 @@ impl Pass for Relayer {
         prog.origins = origins;
         prog.level_of = level_of;
         prog.level_count = level_count;
-        prog.routes = vec![None; level_count as usize];
     }
 }

@@ -1,27 +1,29 @@
 //! The compiled intermediate representation: a flat [`Program`] of two-slot
 //! ops grouped into levels, with provenance and wire-relabeling metadata.
 //!
-//! A `Program` is a *faithful lowering* of either Section 1 model — the
-//! leveled circuit model ([`Program::from_network`]) or the register model
+//! A `Program` lowers either Section 1 model — the leveled circuit model
+//! ([`Program::from_network`]) or the register model
 //! ([`Program::from_register`]) — into one uniform data structure:
 //!
 //! * a flat op list in execution order (`(a, b, kind)` over physical
 //!   *slots*),
 //! * a parallel, nondecreasing level assignment (`level_of`),
-//! * per-level optional routing permutations (present right after lowering;
-//!   normally removed by the `AbsorbRoutes` pass),
-//! * a final `output_map` gather realizing any relabeling accumulated by
-//!   passes, and
+//! * a final `output_map` gather realizing the relabeling that absorbed
+//!   routes and later passes accumulated, and
 //! * an [`Origin`] per op recording the source `(level, element index)` and
 //!   the original [`Element`] — this is what redundancy analysis and traced
 //!   execution map results back through.
 //!
-//! The freshly-lowered program replays the source network exactly; the
-//! pass pipeline in [`crate::ir::passes`] then rewrites it (absorbing
-//! routes, normalizing `CmpRev`, stripping `Pass`/`Swap`, eliminating
-//! provably inert comparators, re-layering) while preserving the
-//! input→output mapping. All backends in [`crate::ir::exec`] replay this
-//! one representation.
+//! A route only renames which slot holds which wire and moves no data
+//! (the paper's Section 1 shows the register model `(Π_i, x̄_i)`
+//! equivalent to the circuit model), so lowering absorbs every route into
+//! the slot numbering and no program carries one: every runner is one
+//! loop over the ops. The lowered program replays the source network
+//! exactly; the pass pipeline in [`crate::ir::passes`] then rewrites it
+//! (normalizing `CmpRev`, stripping `Pass`/`Swap`, eliminating provably
+//! inert comparators, re-layering) while preserving the input→output
+//! mapping. All backends in [`crate::ir::exec`] replay this one
+//! representation.
 
 use crate::element::{Element, ElementKind};
 use crate::network::{CmpEvent, ComparatorNetwork};
@@ -78,7 +80,6 @@ pub struct Origin {
 /// Invariants (checked by [`Program::validate`]):
 /// * `ops`, `origins`, and `level_of` are parallel;
 /// * `level_of` is nondecreasing and `< level_count`;
-/// * `routes.len() == level_count`;
 /// * every slot index is `< n` and each op has `a != b`;
 /// * `output_map` is a permutation of `0..n`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -87,95 +88,83 @@ pub struct Program {
     pub(crate) ops: Vec<Op>,
     pub(crate) origins: Vec<Origin>,
     pub(crate) level_of: Vec<u32>,
-    pub(crate) routes: Vec<Option<Permutation>>,
     pub(crate) level_count: u32,
     pub(crate) output_map: Vec<u32>,
 }
 
 impl Program {
-    /// Faithfully lowers a circuit-model network: one IR level per network
-    /// level, routes copied, every element (including `Pass`/`Swap`)
-    /// becoming one op on its own wires, `output_map` the identity.
+    /// Lowers a circuit-model network: one IR level per network level,
+    /// every element (including `Pass`/`Swap`) becoming one op. Each route
+    /// is absorbed as it is met: the ops after it are renumbered through
+    /// the wire→slot map it leaves, and the final map is the `output_map`.
     pub fn from_network(net: &ComparatorNetwork) -> Self {
         let _span = snet_obs::span("ir.lower")
             .attr("model", "circuit")
             .attr("wires", net.wires())
             .attr("size", net.size());
-        let n = net.wires();
-        let mut ops = Vec::with_capacity(net.size());
-        let mut origins = Vec::with_capacity(net.size());
-        let mut level_of = Vec::with_capacity(net.size());
-        let mut routes = Vec::with_capacity(net.depth());
-        for (li, level) in net.levels().iter().enumerate() {
-            routes.push(level.route.clone());
-            for (ei, e) in level.elements.iter().enumerate() {
-                ops.push(Op { a: e.a, b: e.b, kind: e.kind });
-                origins.push(Origin { level: li as u32, index: ei as u32, element: *e });
-                level_of.push(li as u32);
-            }
-        }
-        Program {
-            n,
-            ops,
-            origins,
-            level_of,
-            routes,
-            level_count: net.depth() as u32,
-            output_map: (0..n as u32).collect(),
-        }
+        let levels = net.levels().iter().map(|l| (l.route.as_ref(), l.elements.iter().copied()));
+        Self::lower(net.wires(), net.size(), levels)
     }
 
     /// Lowers a register-model network through the **same** IR: stage `i`
-    /// becomes level `i` with `route = Some(Π_i)` and op `k` on slots
-    /// `(2k, 2k+1)`. Both Section 1 models thus share one execution path.
+    /// becomes level `i`, its route `Π_i` absorbed like a circuit route,
+    /// and op `k` acts on registers `(2k, 2k+1)`. Both Section 1 models
+    /// thus share one execution path.
     pub fn from_register(reg: &RegisterNetwork) -> Self {
         let _span = snet_obs::span("ir.lower")
             .attr("model", "register")
             .attr("wires", reg.registers())
             .attr("size", reg.size());
-        let n = reg.registers();
-        let mut ops = Vec::new();
-        let mut origins = Vec::new();
-        let mut level_of = Vec::new();
-        let mut routes = Vec::with_capacity(reg.depth());
-        for (si, stage) in reg.stages().iter().enumerate() {
-            routes.push(Some(stage.perm.clone()));
-            for (k, &kind) in stage.ops.iter().enumerate() {
-                let (a, b) = (2 * k as u32, 2 * k as u32 + 1);
-                ops.push(Op { a, b, kind });
-                origins.push(Origin {
-                    level: si as u32,
-                    index: k as u32,
-                    element: Element { a, b, kind },
-                });
-                level_of.push(si as u32);
-            }
-        }
-        Program {
-            n,
-            ops,
-            origins,
-            level_of,
-            routes,
-            level_count: reg.depth() as u32,
-            output_map: (0..n as u32).collect(),
-        }
+        let levels = reg.stages().iter().map(|stage| {
+            let ops = stage.ops.iter().enumerate();
+            let elements =
+                ops.map(|(k, &kind)| Element { a: 2 * k as u32, b: 2 * k as u32 + 1, kind });
+            (Some(&stage.perm), elements)
+        });
+        Self::lower(reg.registers(), reg.size(), levels)
     }
 
-    /// Raises the program back to a leveled circuit: ops grouped by level
-    /// (per-level routes preserved verbatim), plus — when passes have
-    /// accumulated a non-identity relabeling — one final routing-only
-    /// level realizing the output gather. The result replays the program's
-    /// input→output mapping exactly; after the canonical pipeline it is a
-    /// route-free circuit suitable for structural analyses that reject
-    /// routes (e.g. `recognize`).
+    /// Lowers `levels`, each an optional route followed by elements on
+    /// wires, absorbing every route as it is met. `phys[w]` is the slot
+    /// holding the value the source network has on wire `w`: routing by
+    /// `p` moves wire `s`'s value to wire `p(s)`, so it renames
+    /// `phys[p(s)] = phys[s]` and moves nothing.
+    fn lower<'a, E: Iterator<Item = Element>>(
+        n: usize,
+        size: usize,
+        levels: impl Iterator<Item = (Option<&'a Permutation>, E)>,
+    ) -> Self {
+        let mut ops = Vec::with_capacity(size);
+        let mut origins = Vec::with_capacity(size);
+        let mut level_of = Vec::with_capacity(size);
+        let mut phys: Vec<u32> = (0..n as u32).collect();
+        let mut scratch = vec![0u32; n];
+        let mut level_count = 0u32;
+        for (route, elements) in levels {
+            if let Some(route) = route {
+                scratch.copy_from_slice(&phys);
+                route.route(&scratch, &mut phys);
+            }
+            for (index, element) in elements.enumerate() {
+                let (a, b) = (phys[element.a as usize], phys[element.b as usize]);
+                ops.push(Op { a, b, kind: element.kind });
+                origins.push(Origin { level: level_count, index: index as u32, element });
+                level_of.push(level_count);
+            }
+            level_count += 1;
+        }
+        Program { n, ops, origins, level_of, level_count, output_map: phys }
+    }
+
+    /// Raises the program back to a leveled circuit: ops grouped by level,
+    /// plus — when the slot numbering differs from the wire numbering —
+    /// one final routing-only level realizing the output gather. The
+    /// result replays the program's input→output mapping exactly, and
+    /// only that last level routes, so structural analyses that reject
+    /// routes (e.g. `recognize`) take the rest as it is.
     pub fn to_network(&self) -> ComparatorNetwork {
-        let mut levels: Vec<crate::network::Level> = (0..self.level_count as usize)
-            .map(|li| crate::network::Level {
-                route: self.routes[li].clone(),
-                elements: Vec::new(),
-            })
-            .collect();
+        let mut levels: Vec<crate::network::Level> =
+            (0..self.level_count).map(|_| crate::network::Level::of_elements(Vec::new())).collect();
         for (op, &li) in self.ops.iter().zip(&self.level_of) {
             levels[li as usize].elements.push(Element { a: op.a, b: op.b, kind: op.kind });
         }
@@ -254,21 +243,11 @@ impl Program {
         self.ops.iter().filter(|op| op.is_comparator()).count()
     }
 
-    /// True if any level still carries a routing permutation (i.e. the
-    /// `AbsorbRoutes` pass has not run, or lowering was from the register
-    /// model).
-    pub fn has_routes(&self) -> bool {
-        self.routes.iter().any(|r| r.is_some())
-    }
-
     /// Checks the structural invariants; returns a description of the first
     /// violation. Used by the pass differential tests.
     pub fn validate(&self) -> Result<(), String> {
         if self.ops.len() != self.origins.len() || self.ops.len() != self.level_of.len() {
             return Err("parallel arrays disagree in length".into());
-        }
-        if self.routes.len() != self.level_count as usize {
-            return Err("routes length != level count".into());
         }
         let mut prev = 0u32;
         for (i, (&lvl, op)) in self.level_of.iter().zip(&self.ops).enumerate() {
@@ -296,9 +275,18 @@ impl Program {
         Ok(())
     }
 
+    /// Keeps op `k`, with its origin and level, iff `keep[k]`.
+    pub(crate) fn retain_ops(&mut self, keep: &[bool]) {
+        let flags = || keep.iter().copied();
+        let (mut ops, mut origins, mut levels) = (flags(), flags(), flags());
+        self.ops.retain(|_| ops.next() == Some(true));
+        self.origins.retain(|_| origins.next() == Some(true));
+        self.level_of.retain(|_| levels.next() == Some(true));
+    }
+
     // ------------------------------------------------------------------
-    // Backends. Every runner handles routed (freshly lowered) programs;
-    // after `AbsorbRoutes` the flat fast path applies.
+    // Backends: each replays the op list in order, then reads outputs
+    // through `output_map`.
     // ------------------------------------------------------------------
 
     /// Applies op `k` to scalar slots.
@@ -327,27 +315,6 @@ impl Program {
         }
     }
 
-    /// Iterates `f` over `(level, ops of that level)` runs, applying routes
-    /// to `slots` via `route` first. `level_of` is nondecreasing, so one
-    /// forward scan suffices.
-    #[inline]
-    fn for_each_level<S, R: FnMut(&Permutation, &mut [S]), F: FnMut(&[Op], &mut [S])>(
-        &self,
-        slots: &mut [S],
-        mut route: R,
-        mut f: F,
-    ) {
-        let mut start = 0usize;
-        for lvl in 0..self.level_count {
-            if let Some(r) = &self.routes[lvl as usize] {
-                route(r, slots);
-            }
-            let end = start + self.level_of[start..].iter().take_while(|&&l| l == lvl).count();
-            f(&self.ops[start..end], slots);
-            start = end;
-        }
-    }
-
     /// Evaluates in place: `values` is the input on entry and the output on
     /// exit, exactly like [`ComparatorNetwork::evaluate_in_place`].
     /// `scratch` is reused across calls to avoid allocation.
@@ -356,25 +323,8 @@ impl Program {
         scratch.clear();
         scratch.extend_from_slice(values);
         let slots = scratch.as_mut_slice();
-        if self.has_routes() {
-            self.for_each_level(
-                slots,
-                |r, s| {
-                    // `values` doubles as the routing buffer; it is fully
-                    // rewritten by the output gather below.
-                    values.copy_from_slice(s);
-                    r.route(values, s);
-                },
-                |ops, s| {
-                    for op in ops {
-                        Self::apply_scalar(op, s);
-                    }
-                },
-            );
-        } else {
-            for op in &self.ops {
-                Self::apply_scalar(op, slots);
-            }
+        for op in &self.ops {
+            Self::apply_scalar(op, slots);
         }
         for (w, v) in values.iter_mut().enumerate() {
             *v = slots[self.output_map[w] as usize];
@@ -404,42 +354,23 @@ impl Program {
         mut on_cmp: F,
     ) -> Vec<T> {
         assert_eq!(input.len(), self.n, "input length mismatch");
-        let mut values = input.to_vec();
-        let mut slots_buf = input.to_vec();
-        let slots = slots_buf.as_mut_slice();
-        let mut emit = |k: usize, s: &[T]| {
-            let (op, origin) = (&self.ops[k], &self.origins[k]);
-            if !op.is_comparator() {
-                return;
+        let mut slots = input.to_vec();
+        for (op, origin) in self.ops.iter().zip(&self.origins) {
+            if op.is_comparator() {
+                // `NormalizeCmpRev` exchanges operands; detect whether this
+                // op's operand order still matches the source element's.
+                let swapped = (origin.element.kind == ElementKind::CmpRev)
+                    != (op.kind == ElementKind::CmpRev);
+                let (va, vb) = if swapped {
+                    (slots[op.b as usize], slots[op.a as usize])
+                } else {
+                    (slots[op.a as usize], slots[op.b as usize])
+                };
+                on_cmp(CmpEvent { level: origin.level as usize, element: origin.element, va, vb });
             }
-            // `NormalizeCmpRev` exchanges operands; detect whether this op's
-            // operand order still matches the source element's.
-            let swapped =
-                (origin.element.kind == ElementKind::CmpRev) != (op.kind == ElementKind::CmpRev);
-            let (va, vb) = if swapped {
-                (s[op.b as usize], s[op.a as usize])
-            } else {
-                (s[op.a as usize], s[op.b as usize])
-            };
-            on_cmp(CmpEvent { level: origin.level as usize, element: origin.element, va, vb });
-        };
-        let mut start = 0usize;
-        for lvl in 0..self.level_count {
-            if let Some(r) = &self.routes[lvl as usize] {
-                values.copy_from_slice(slots);
-                r.route(&values, slots);
-            }
-            let end = start + self.level_of[start..].iter().take_while(|&&l| l == lvl).count();
-            for k in start..end {
-                emit(k, slots);
-                Self::apply_scalar(&self.ops[k], slots);
-            }
-            start = end;
+            Self::apply_scalar(op, &mut slots);
         }
-        for (w, v) in values.iter_mut().enumerate() {
-            *v = slots[self.output_map[w] as usize];
-        }
-        values
+        self.output_map.iter().map(|&s| slots[s as usize]).collect()
     }
 
     /// Applies op `k` to 64-lane 0-1 slot words (`min = AND`, `max = OR`).
@@ -465,36 +396,19 @@ impl Program {
     }
 
     /// Replays the op list over 64-lane slot words without the output
-    /// gather. `route_scratch` is only touched when routes are present.
+    /// gather.
     #[inline]
-    pub fn run_block_01x64(&self, slots: &mut [u64], route_scratch: &mut Vec<u64>) {
-        if self.has_routes() {
-            self.for_each_level(
-                slots,
-                |r, s| {
-                    route_scratch.clear();
-                    route_scratch.extend_from_slice(s);
-                    r.route(route_scratch, s);
-                },
-                |ops, s| {
-                    for op in ops {
-                        Self::apply_lanes(op, s);
-                    }
-                },
-            );
-        } else {
-            for op in &self.ops {
-                Self::apply_lanes(op, slots);
-            }
+    pub fn run_block_01x64(&self, slots: &mut [u64]) {
+        for op in &self.ops {
+            Self::apply_lanes(op, slots);
         }
     }
 
-    /// Replays ops `from..` of a route-free program over 64-lane slot
-    /// words, without the output gather: the rest of the network after a
-    /// prefix the caller has already applied.
+    /// Replays ops `from..` over 64-lane slot words, without the output
+    /// gather: the rest of the network after a prefix the caller has
+    /// already applied.
     #[inline]
     pub(crate) fn run_suffix_01x64(&self, from: usize, slots: &mut [u64]) {
-        debug_assert!(!self.has_routes(), "a routed program runs level by level");
         for op in &self.ops[from..] {
             Self::apply_lanes(op, slots);
         }
@@ -506,8 +420,7 @@ impl Program {
         assert_eq!(lanes.len(), self.n, "lane count mismatch");
         scratch.clear();
         scratch.extend_from_slice(lanes);
-        let mut route_scratch = Vec::new();
-        self.run_block_01x64(scratch, &mut route_scratch);
+        self.run_block_01x64(scratch);
         for (w, lane) in lanes.iter_mut().enumerate() {
             *lane = scratch[self.output_map[w] as usize];
         }
@@ -518,35 +431,19 @@ impl Program {
     /// (a comparator actually exchanged its inputs). `valid` masks out
     /// lanes that do not correspond to real inputs. Non-comparator ops
     /// never fire. Powers redundancy analysis.
-    pub fn run_block_01x64_fired(
-        &self,
-        slots: &mut [u64],
-        valid: u64,
-        fired: &mut [u64],
-        route_scratch: &mut Vec<u64>,
-    ) {
+    pub fn run_block_01x64_fired(&self, slots: &mut [u64], valid: u64, fired: &mut [u64]) {
         assert_eq!(slots.len(), self.n, "lane count mismatch");
         assert_eq!(fired.len(), self.ops.len(), "fired accumulator mismatch");
-        let mut start = 0usize;
-        for lvl in 0..self.level_count {
-            if let Some(r) = &self.routes[lvl as usize] {
-                route_scratch.clear();
-                route_scratch.extend_from_slice(slots);
-                r.route(route_scratch, slots);
+        for (op, f) in self.ops.iter().zip(fired) {
+            let (x, y) = (slots[op.a as usize], slots[op.b as usize]);
+            match op.kind {
+                // `Cmp` exchanges iff `a` holds 1 and `b` holds 0.
+                ElementKind::Cmp => *f |= (x & !y) & valid,
+                // `CmpRev` exchanges iff `a` holds 0 and `b` holds 1.
+                ElementKind::CmpRev => *f |= (!x & y) & valid,
+                ElementKind::Pass | ElementKind::Swap => {}
             }
-            let end = start + self.level_of[start..].iter().take_while(|&&l| l == lvl).count();
-            for (op, f) in self.ops[start..end].iter().zip(&mut fired[start..end]) {
-                let (x, y) = (slots[op.a as usize], slots[op.b as usize]);
-                match op.kind {
-                    // `Cmp` exchanges iff `a` holds 1 and `b` holds 0.
-                    ElementKind::Cmp => *f |= (x & !y) & valid,
-                    // `CmpRev` exchanges iff `a` holds 0 and `b` holds 1.
-                    ElementKind::CmpRev => *f |= (!x & y) & valid,
-                    ElementKind::Pass | ElementKind::Swap => {}
-                }
-                Self::apply_lanes(op, slots);
-            }
-            start = end;
+            Self::apply_lanes(op, slots);
         }
     }
 

@@ -44,5 +44,5 @@ pub mod verdicts;
 
 pub use http::{HttpError, Limits};
 pub use jobs::{CheckAnswer, FramePoll, Job, JobManager, JobsConfig};
-pub use server::{install_signal_handlers, serve, spawn, ServeConfig, ServerHandle, SERVE_FLAGS};
+pub use server::{install_signal_handlers, serve, spawn, ServeConfig, ServerHandle};
 pub use telemetry::{RequestCtx, LINK_HEADER};

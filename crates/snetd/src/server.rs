@@ -149,19 +149,12 @@ impl Default for ServeConfig {
     }
 }
 
-/// The daemon's flags, as `snet-snetd --help` and `snetctl serve` list
-/// them; [`ServeConfig::from_args`] parses exactly these.
-pub const SERVE_FLAGS: &str = "\
-[--addr HOST:PORT] [--store DIR] [--conn-threads N] [--max-jobs N]
-[--search-threads N] [--check-threads N] [--max-body-bytes N]
-[--access-log FILE.jsonl] [--slow-ms MS]";
-
 impl ServeConfig {
-    /// Parses the daemon flags ([`SERVE_FLAGS`]): the one parser behind
-    /// both `snet-snetd` and `snetctl serve`. `--addr` defaults to
-    /// `127.0.0.1:7421`; without `--store`, a non-empty `$SNET_STORE`
-    /// names the store. An unknown flag, or a missing or unparsable
-    /// value, is an error; both entry points exit 11 on it.
+    /// Parses the daemon flags, as `snetctl serve` lists them in its
+    /// usage. `--addr` defaults to `127.0.0.1:7421`; without `--store`, a
+    /// non-empty `$SNET_STORE` names the store. An unknown flag, or a
+    /// missing or unparsable value, is an error; `snetctl serve` exits 11
+    /// on it.
     pub fn from_args(args: &[String]) -> Result<ServeConfig, String> {
         fn parse<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
             value.parse().map_err(|_| format!("invalid {flag} value '{value}'"))

@@ -2,12 +2,13 @@
 //!
 //! Every verdict-producing path (checking, search, the adversary
 //! commands) keys its result by [`snet_core::ir::CanonicalHash`] — a
-//! stable digest of the circuit's *canonical form*, computed after the
-//! canonical passes (`absorb-routes`, `normalize-cmprev`,
-//! `strip-pass-swap`). Two presentations of the same circuit (different
-//! pass orderings, `Cmp`/`CmpRev` spellings, element listing order,
-//! inert `Pass`/`Swap` padding) share one address, so a verdict computed
-//! once is replayed byte-identically forever after.
+//! stable digest of the circuit's *canonical form*, computed after a
+//! lowering that absorbs routes and the canonical passes
+//! (`normalize-cmprev`, `strip-pass-swap`). Two presentations of the
+//! same circuit (different pass orderings, `Cmp`/`CmpRev` spellings,
+//! element listing order, inert `Pass`/`Swap` padding) share one
+//! address, so a verdict computed once is replayed byte-identically
+//! forever after.
 //!
 //! The crate provides:
 //!

@@ -170,8 +170,9 @@ impl std::fmt::Debug for ArtifactStore {
 
 impl ArtifactStore {
     /// Opens (creating if needed) the store at `root` and bumps its
-    /// generation. A corrupt meta file is quarantined and the counter
-    /// restarts — opening never fails on bad content, only on I/O.
+    /// generation. A corrupt meta file, or one whose generation cannot be
+    /// bumped, is quarantined and the counter restarts — opening never
+    /// fails on bad content, only on I/O.
     ///
     /// The generation read-modify-write runs under the `store.meta.lock`
     /// advisory lock, so concurrent opens of one root (threads or
@@ -182,10 +183,10 @@ impl ArtifactStore {
         std::fs::create_dir_all(root.join("quarantine"))?;
         let meta_path = root.join("store.meta.json");
         let _lock = MetaLock::acquire(&root)?;
-        let generation = match read_meta_generation(&meta_path) {
-            Ok(g) => g + 1,
+        let generation = match read_meta_generation(&meta_path).map(|g| g.checked_add(1)) {
+            Ok(Some(g)) => g,
             Err(MetaError::Missing) => 1,
-            Err(MetaError::Corrupt) => {
+            Ok(None) | Err(MetaError::Corrupt) => {
                 quarantine_file(&root, &meta_path);
                 1
             }

@@ -200,10 +200,17 @@ fn corrupt_meta_restarts_generations_without_failing() {
     let root = scratch_root("meta");
     let first = ArtifactStore::open(&root).unwrap();
     assert_eq!(first.generation(), 1);
-    std::fs::write(root.join("store.meta.json"), b"]]]not json").unwrap();
-    let recovered = ArtifactStore::open(&root).unwrap();
-    assert_eq!(recovered.generation(), 1, "corrupt meta restarts the counter");
-    assert!(recovered.stat().unwrap().quarantined >= 1, "bad meta is parked");
+    // Unparsable, and a generation the bump would overflow.
+    let metas: [&[u8]; 2] = [
+        b"]]]not json",
+        b"{\"schema\":\"snet-store-meta/1\",\"generation\":18446744073709551615}\n",
+    ];
+    for (parked, meta) in metas.into_iter().enumerate() {
+        std::fs::write(root.join("store.meta.json"), meta).unwrap();
+        let recovered = ArtifactStore::open(&root).unwrap();
+        assert_eq!(recovered.generation(), 1, "corrupt meta restarts the counter");
+        assert!(recovered.stat().unwrap().quarantined > parked as u64, "bad meta is parked");
+    }
 }
 
 #[test]
